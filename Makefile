@@ -50,12 +50,14 @@ ci: lint
 coverage:
 	PYTHONPATH=src $(PYTHON) tools/cov.py tests -q -m "not slow"
 
-# Full pre-merge gate: the unit suite, coverage floors on the analysis
+# Full pre-merge gate: the unit suite, the benchmark's self-tests (its
+# percentile, gate and tracer arithmetic), coverage floors on the analysis
 # package (the lint rules + sanitizers must themselves stay well-tested)
 # and the resolve package (the crash-safety layer likewise),
 # plus a profiled end-to-end smoke run.
 check:
 	$(PYTHON) -m pytest tests/ -q
+	$(PYTHON) -m pytest perfbench -q
 	PYTHONPATH=src $(PYTHON) tools/cov.py --package analysis --min 90 \
 		tests/test_analysis.py tests/test_analysis_concurrency.py \
 		-q -m "not slow"

@@ -229,46 +229,6 @@ class ConsistentHashRing:
 # ======================================================================
 # Replica process side
 # ======================================================================
-@dataclasses.dataclass
-class _MemoStats:
-    hits: int = 0
-
-    def as_dict(self) -> Dict[str, int]:
-        return dataclasses.asdict(self)
-
-
-class _MemoStore:
-    """Per-process memo of encoded records, when no on-disk store exists.
-
-    ``encode_record`` is the single encoding path for both the embedding
-    store and the live fallback, so serving memoized records is bitwise
-    identical to re-encoding them — the memo only removes repeat work.
-    Single-threaded by design: each replica's serving loop (and the
-    router's offline parity reference) is one thread.
-    """
-
-    dtype = "float32(memo)"
-
-    def __init__(self, matcher):
-        self._matcher = matcher
-        self._memo: Dict[Entity, object] = {}
-
-    def get(self, entity: Entity):
-        from repro.store.embedstore import encode_record
-
-        record = self._memo.get(entity)
-        if record is None:
-            record = encode_record(
-                self._matcher._network, self._matcher._encoder, entity,
-                self._matcher._num_attributes)
-            self._memo[entity] = record
-        return record
-
-    @property
-    def stats(self) -> _MemoStats:
-        return _MemoStats(hits=len(self._memo))
-
-
 @dataclasses.dataclass(frozen=True)
 class _ReplicaPayload:
     """Everything a replica needs, picklable for the spawn boundary.
@@ -320,8 +280,6 @@ def _replica_main(replica_id: int, incarnation: int,
             if network is not None:
                 store.bind(network)
             scorer.store = store
-        else:
-            scorer.store = _MemoStore(scorer.matcher)
 
     blocker = None
     shard_gidx: List[int] = []
@@ -547,8 +505,6 @@ class ClusterService:
             base_batch = matcher.batch_size \
                 or getattr(matcher.matcher.scale, "batch_size", 32)
             matcher.batch_size = max(base_batch, config.coalesce_pairs)
-            if matcher.store is None and store_path is None:
-                matcher.store = _MemoStore(matcher.matcher)
             self.pad_width = pad
         else:
             # Encoder-less tier 1 (feature/stub matchers): scores carry no
@@ -601,9 +557,10 @@ class ClusterService:
         scorer = self.cascade.tier1.matcher
         ship = scorer
         if isinstance(scorer, StoreBackedScorer):
-            # Ship a store-less clone: the memo / mmap store is rebuilt
-            # inside each replica process (mmaps and memo dicts must not
-            # ride through pickle).
+            # Ship a freshly built store-less clone: the mmap store is
+            # reopened inside each replica process (mmaps must not ride
+            # through pickle), and a fresh clone carries no instance
+            # token, so live-encode cache keys never cross processes.
             ship = StoreBackedScorer(scorer.matcher, store=None,
                                      batch_size=scorer.batch_size,
                                      pad_width=scorer.pad_width)

@@ -111,11 +111,16 @@ class StoredRecord:
 
 @dataclasses.dataclass
 class StoreStats:
-    """Per-store serving counters (reported by ``InferenceService.stats``)."""
+    """Per-store serving counters (reported by ``InferenceService.stats``).
 
-    #: Records served from the store (shard read or fronting LRU).
+    Counts are per lookup.  A missed record is encoded live only once per
+    scorer and weights version however often it is looked up; that count
+    is ``StoreBackedScorer.live_fallbacks``.
+    """
+
+    #: Lookups served from the store (shard read or fronting LRU).
     hits: int = 0
-    #: Records absent from the store — fell through to the live encoder.
+    #: Lookups of records absent from the store.
     misses: int = 0
     #: Misses caused by a quarantined (checksum-failed) shard.
     corrupt_misses: int = 0

@@ -27,7 +27,14 @@ import numpy as np
 from repro.autograd import Tensor, functional as F, no_grad
 from repro.data.schema import EntityPair
 from repro.matchers.base import Matcher
-from repro.store.embedstore import EmbeddingStore, StoredRecord, encode_record
+from repro.perf.cache import instance_token, params_version
+from repro.store.embedstore import (
+    EmbeddingStore,
+    StoredRecord,
+    encode_record,
+    stable_record_key,
+    store_cache,
+)
 
 
 class StoreBackedScorer(Matcher):
@@ -61,7 +68,10 @@ class StoreBackedScorer(Matcher):
         #: cluster's cross-request batch coalescing relies on this for
         #: tier-1 parity (see serving/cluster.py).
         self.pad_width = pad_width
-        #: Records encoded live because the store could not serve them.
+        #: Distinct records encoded live because the store could not serve
+        #: them (every record, when there is no store).  Live encodes are
+        #: kept in the ``store`` LRU, so a record counts once per weights
+        #: version however many pairs and calls it appears in.
         self.live_fallbacks = 0
 
     @property
@@ -101,14 +111,26 @@ class StoreBackedScorer(Matcher):
 
     # ------------------------------------------------------------------
     def _record(self, network, entity) -> StoredRecord:
-        """Store lookup with counted live-encoder fallback."""
+        """Store lookup, then the live-encode cache, then the live encoder.
+
+        ``encode_record`` is a pure per-record function, so a cached live
+        encode is bitwise the one a re-encode would compute.  The key pins
+        the weights version (a bump orphans the entry) and this scorer (a
+        separately built reference scorer always recomputes).
+        """
         if self.store is not None:
             record = self.store.get(entity)
             if record is not None:
                 return record
+        key = ("live", stable_record_key(entity), params_version(),
+               instance_token(self))
+        record = store_cache().get(key)
+        if record is None:
+            record = encode_record(network, self.matcher._encoder, entity,
+                                   self.matcher._num_attributes)
+            store_cache().put(key, record)
             self.live_fallbacks += 1
-        return encode_record(network, self.matcher._encoder, entity,
-                             self.matcher._num_attributes)
+        return record
 
     def _forward_chunk(self, network, chunk: List[EntityPair]) -> Tensor:
         """Assemble one cross-pair megabatch and run the GAT head.

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import hashlib
 import os
+import pickle
 import signal
 import threading
 import time
@@ -54,6 +55,7 @@ from repro.serving import (
 )
 from repro.serving.cluster import pair_width
 from repro.serving.tiers import DegradationCascade, ScoringTier
+from repro.store.scorer import StoreBackedScorer
 
 
 # ======================================================================
@@ -453,6 +455,29 @@ def beer_cluster():
 
 
 class TestRealModelCoalescingParity:
+    def test_no_store_router_scorer_encodes_each_record_once(self,
+                                                             beer_cluster):
+        matcher, dataset = beer_cluster
+        svc = ClusterService(build_cascade(matcher, dataset),
+                             ClusterConfig(replicas=1))
+        scorer = svc.cascade.tier1.matcher
+        assert isinstance(scorer, StoreBackedScorer)
+        assert scorer.store is None
+        pairs = list(dataset.split.test)[:6]
+        first = scorer.scores(pairs)
+        encoded = scorer.live_fallbacks
+        assert encoded > 0
+        assert np.array_equal(scorer.scores(pairs), first)
+        assert scorer.live_fallbacks == encoded
+        # Replicas get a freshly built clone: no instance token (and so no
+        # live-encode cache key) crosses the spawn boundary.
+        assert "_perf_token" in vars(scorer)
+        shipped = svc._build_payload().scorer
+        assert shipped is not scorer
+        assert shipped.store is None
+        assert "_perf_token" not in vars(shipped)
+        assert "_perf_token" not in vars(pickle.loads(pickle.dumps(shipped)))
+
     def test_pad_width_selection(self, beer_cluster):
         matcher, dataset = beer_cluster
         pool = list(dataset.split.test)

@@ -9,13 +9,18 @@ Covers the offline store end to end at CI scale:
   quarantine → counted live fallback) and ``store.build`` (kill between
   write and rename → partial file discarded, manifest never published,
   re-running the build resumes) — R004;
-* staleness — a ``params_version`` bump invalidates the shards *and* the
-  fronting LRU until the store is re-bound (R005);
+* the live-encode cache — a record absent from the store is encoded once
+  however many pairs it appears in, bitwise equal to re-encoding it;
+* staleness — a ``params_version`` bump invalidates the shards, the
+  fronting LRU and the live-encode cache until the store is re-bound
+  (R005);
 * the serving integration — ``InferenceService`` reads the store on tier 1
   and reports hit/fallback counters.
 """
 
 from __future__ import annotations
+
+import dataclasses
 
 import numpy as np
 import pytest
@@ -23,6 +28,7 @@ import pytest
 from repro.config import Scale, set_scale
 from repro.core import HierGAT
 from repro.data import load_dataset
+from repro.data.schema import EntityPair
 from repro.perf.cache import bump_params_version, instance_token, params_version
 from repro.reliability.counters import COUNTERS
 from repro.reliability.faults import (
@@ -43,6 +49,7 @@ from repro.store import (
     store_cache,
     weights_digest,
 )
+from repro.store import scorer as scorer_mod
 from repro.store.quant import quantized_matmul
 
 
@@ -61,6 +68,11 @@ def fitted(dataset):
 def _test_entities(dataset):
     return [entity for pair in dataset.split.test
             for entity in (pair.left, pair.right)]
+
+
+def _absent(entity):
+    """A copy of ``entity`` under a uid no store built here indexes."""
+    return dataclasses.replace(entity, uid=f"{entity.uid}:absent")
 
 
 # ======================================================================
@@ -155,6 +167,31 @@ class TestBuildAndParity:
         assert report["max_abs_diff"] == 0.0
         assert report["live_fallbacks"] == 0
         assert report["store_hits"] > 0
+
+    def test_absent_record_encoded_once_across_its_pairs(self, tmp_path,
+                                                         fitted, dataset,
+                                                         monkeypatch):
+        entities = _test_entities(dataset)
+        store = build_store(tmp_path / "s", fitted, entities)
+        stored = list({stable_record_key(e): e for e in entities}.values())[:8]
+        query = _absent(entities[0])
+        pairs = [EntityPair(query, other, 0) for other in stored]
+        assert len(pairs) == 8
+
+        encoded = []
+
+        def counting(network, encoder, entity, num_attributes):
+            encoded.append(entity)
+            return encode_record(network, encoder, entity, num_attributes)
+
+        monkeypatch.setattr(scorer_mod, "encode_record", counting)
+        scorer = StoreBackedScorer(fitted, store=store)
+        scores = scorer.scores(pairs)
+        assert encoded == [query]
+        assert scorer.live_fallbacks == 1
+        monkeypatch.undo()
+        reference = StoreBackedScorer(fitted, store=None).scores(pairs)
+        assert np.array_equal(scores, reference)
 
     def test_store_backed_close_to_standard_forward(self, tmp_path, fitted,
                                                     dataset):
@@ -301,6 +338,14 @@ class TestInvalidation:
         stale_key = ("store", stable_record_key(entities[0]), params_version(),
                      instance_token(store))
         assert stale_key in store_cache()
+        query = _absent(entities[0])
+        live_scorer = StoreBackedScorer(fitted, store=store)
+        query_pairs = [EntityPair(query, entities[0], 0)]
+        before = live_scorer.scores(query_pairs)
+        assert live_scorer.live_fallbacks == 1
+        stale_live = ("live", stable_record_key(query), params_version(),
+                      instance_token(live_scorer))
+        assert stale_live in store_cache()
 
         bump_params_version()   # what any optimizer step / weight load does
         try:
@@ -313,6 +358,17 @@ class TestInvalidation:
                          params_version(), instance_token(store))
             assert fresh_key != stale_key
             assert fresh_key not in store_cache()
+            # So does the live-encode cache: the pre-bump encode of the
+            # absent record is unreachable and it is encoded again (the
+            # stale store now sends its stored partner live too).
+            fresh_live = ("live", stable_record_key(query), params_version(),
+                          instance_token(live_scorer))
+            assert fresh_live != stale_live
+            assert fresh_live not in store_cache()
+            after = live_scorer.scores(query_pairs)
+            assert live_scorer.live_fallbacks == 3
+            assert fresh_live in store_cache()
+            assert np.array_equal(after, before)
 
             # Scoring still works — every record falls through live.
             scorer = StoreBackedScorer(fitted, store=store)
