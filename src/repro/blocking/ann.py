@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import functools
 import hashlib
+import itertools
 import math
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -116,7 +117,13 @@ class _BandedNNIndex(Blocker):
         self._sums = np.zeros(0, dtype=np.uint64)
         self._n = 0
         self._buckets: Dict[Tuple[int, int], List[int]] = {}
-        self._uids: List[str] = []
+        #: uid -> indices of the records indexed under it (self-exclusion).
+        self._uid_ids: Dict[str, List[int]] = {}
+        #: ``(record, params_version, rows, bands)`` of the last query, so
+        #: the ``candidates(r)`` → ``add(r)`` sequence of a streaming
+        #: resolver computes the signature once (rows are a pure function
+        #: of the record and the weights, see :meth:`_row_batch`).
+        self._last: Optional[Tuple[Entity, int, np.ndarray, np.ndarray]] = None
         self._records: Optional[List[Entity]] = [] if self.keep_records else None
 
     @property
@@ -155,11 +162,21 @@ class _BandedNNIndex(Blocker):
         """Streaming bulk ``add`` (the 1M-record build path)."""
         self._extend(list(records))
 
+    def _signatures(self, chunk: List[Entity]
+                    ) -> Tuple[np.ndarray, np.ndarray]:
+        """Signature rows and band values of ``chunk``; a lone record
+        equal to the last query's reuses that query's."""
+        last = self._last
+        if (last is not None and len(chunk) == 1 and last[0] == chunk[0]
+                and last[1] == params_version()):
+            return last[2], last[3]
+        rows = self._row_batch(chunk)
+        return rows, self._band_values(rows)
+
     def _extend(self, entities: List[Entity]) -> None:
         for start in range(0, len(entities), _CHUNK):
             chunk = entities[start:start + _CHUNK]
-            rows = self._row_batch(chunk)
-            bands = self._band_values(rows)
+            rows, bands = self._signatures(chunk)
             self._ensure_capacity(len(chunk))
             base = self._n
             self._rows[base:base + len(chunk)] = rows
@@ -167,12 +184,11 @@ class _BandedNNIndex(Blocker):
             # integrity check the corrupt-fault recovery test relies on.
             self._sums[base:base + len(chunk)] = rows.sum(
                 axis=1, dtype=np.uint64)
-            for i, entity in enumerate(chunk):
-                record_id = base + i
-                for band in range(self.bands):
-                    key = (band, int(bands[i, band]))
+            for record_id, entity, values in zip(
+                    itertools.count(base), chunk, bands.tolist()):
+                for key in enumerate(values):
                     self._buckets.setdefault(key, []).append(record_id)
-                self._uids.append(entity.uid)
+                self._uid_ids.setdefault(entity.uid, []).append(record_id)
             if self._records is not None:
                 self._records.extend(chunk)
             self._n += len(chunk)
@@ -181,7 +197,8 @@ class _BandedNNIndex(Blocker):
     def candidates(self, record: Entity, k: int = 16) -> List[int]:
         if k <= 0:
             raise ValueError("k must be >= 1")
-        qrow = self._row_batch([record])[0]
+        rows = self._row_batch([record])
+        bands = self._band_values(rows)
         kind = fault_point("blocking.index", op="query", size=self._n)
         if kind == "corrupt":
             # Contract of the ``corrupt`` kind: the call site mangles its
@@ -189,28 +206,29 @@ class _BandedNNIndex(Blocker):
             if self._n:
                 self._rows[:self._n] ^= _CORRUPT_MASK
         try:
-            return self._query(qrow, record.uid, k)
+            found = self._query(rows[0], bands[0], record.uid, k)
         except CorruptDataFault:
             self._rebuild()
-            return self._query(qrow, record.uid, k)
+            found = self._query(rows[0], bands[0], record.uid, k)
+        self._last = (record, params_version(), rows, bands)
+        return found
 
-    def _query(self, qrow: np.ndarray, uid: str, k: int) -> List[int]:
-        if self._n == 0:
-            return []
-        qbands = self._band_values(qrow[None, :])[0]
-        collided: List[List[int]] = []
-        for band in range(self.bands):
-            ids = self._buckets.get((band, int(qbands[band])))
-            if ids:
-                collided.append(ids)
+    def _query(self, qrow: np.ndarray, qbands: np.ndarray, uid: str,
+               k: int) -> List[int]:
+        collided = [ids for ids in map(self._buckets.get,
+                                       enumerate(qbands.tolist())) if ids]
         if not collided:
             return []
-        ids_arr = np.unique(np.concatenate(
-            [np.asarray(ids, dtype=np.int64) for ids in collided]))
-        keep_mask = np.fromiter(
-            (self._uids[int(j)] != uid for j in ids_arr),
-            dtype=bool, count=len(ids_arr))
-        ids_arr = ids_arr[keep_mask]
+        ids_arr = np.fromiter(itertools.chain.from_iterable(collided),
+                              dtype=np.int64,
+                              count=sum(map(len, collided)))
+        ids_arr.sort()
+        first = np.ones(len(ids_arr), dtype=bool)
+        first[1:] = ids_arr[1:] != ids_arr[:-1]
+        ids_arr = ids_arr[first]
+        own = self._uid_ids.get(uid)
+        if own:
+            ids_arr = ids_arr[~np.isin(ids_arr, own)]
         if not len(ids_arr):
             return []
         rows = self._rows[ids_arr]

@@ -7,7 +7,8 @@ operations:
 * ``fit(table)`` — (re)build the index over a table of records,
 * ``candidates(record, k)`` — up to ``k`` likely-matching indexed records,
 * ``add(record)`` — append one record to the index *incrementally*, for
-  online blocking in the serving layer.
+  online blocking in the serving layer (``add_many(records)`` appends a
+  batch, exactly as repeated ``add`` would).
 
 Contracts, enforced by the shared conformance suite
 (``tests/test_blocking_contract.py``):
@@ -58,6 +59,11 @@ class Blocker(abc.ABC):
         Must be exactly equivalent to rebuilding the index with ``record``
         appended to the fitted table (bitwise candidate-set parity).
         """
+
+    def add_many(self, records: Sequence[Entity]) -> None:
+        """Index ``records`` in order, as repeated :meth:`add` would."""
+        for record in records:
+            self.add(record)
 
     @property
     @abc.abstractmethod

@@ -80,10 +80,18 @@ class JaccardScorer:
     params_version = "jaccard-v1"
 
     def scores(self, pairs: Sequence[EntityPair]) -> np.ndarray:
+        tokens: Dict[Entity, Set[str]] = {}
+
+        def token_set(record: Entity) -> Set[str]:
+            found = tokens.get(record)
+            if found is None:
+                found = tokens[record] = set(tokenize(record.text()))
+            return found
+
         out = np.zeros(len(pairs), dtype=np.float64)
         for i, pair in enumerate(pairs):
-            left = set(tokenize(pair.left.text()))
-            right = set(tokenize(pair.right.text()))
+            left = token_set(pair.left)
+            right = token_set(pair.right)
             union = len(left | right)
             out[i] = len(left & right) / union if union else 0.0
         return out
@@ -330,6 +338,10 @@ class StreamingResolver:
     def _apply_resolution(self, record: Entity,
                           edges: List[ScoredEdge]) -> None:
         self.blocker.add(record)  # repro: noqa[R007] -- index add serialized by the single resolution worker (_pump)
+        self._apply_edges(record, edges)
+
+    def _apply_edges(self, record: Entity,
+                     edges: List[ScoredEdge]) -> None:
         self.store.add_record(record.uid)
         for edge in edges:
             self.store.apply_edge(edge)
@@ -368,8 +380,11 @@ class StreamingResolver:
         """Rebuild the exact pre-crash state from ``wal`` and continue.
 
         Logged resolutions re-apply their edges verbatim (bitwise
-        provenance); records released but unresolved at the crash are
-        re-scored live after the replay, in release order.
+        provenance); the replayed records are then indexed with one
+        ``blocker.add_many`` in log order (no query runs during replay,
+        and ``add`` == rebuild parity makes this the index the live run
+        built); records released but unresolved at the crash are
+        re-scored live after that, in release order.
         """
         entries = wal.replay()
         resolver = cls(scorer, blocker=blocker, config=config, wal=None,
@@ -378,12 +393,14 @@ class StreamingResolver:
         for entry in entries:
             if entry.get("type") == "resolve":
                 logged[str(entry["uid"])] = entry
+        replayed: List[Entity] = []
         for entry in entries:
             kind = entry.get("type")
             if kind == "arrive":
-                resolver._replay_arrive(entry, logged)
+                replayed.extend(resolver._replay_arrive(entry, logged))
             elif kind == "retract":
                 resolver._replay_retract(entry)
+        resolver.blocker.add_many(replayed)
         with resolver._lock:
             resolver.wal = wal
         resolver._pump()  # re-score released-but-unresolved records live
@@ -392,13 +409,16 @@ class StreamingResolver:
         return resolver
 
     def _replay_arrive(self, entry: Dict[str, object],
-                       logged: Dict[str, Dict[str, object]]) -> None:
+                       logged: Dict[str, Dict[str, object]]
+                       ) -> List[Entity]:
+        """Re-feed one logged arrival; returns the records whose logged
+        resolution it applied (for the caller to index)."""
         record = _record_from(entry["record"])
         seq = int(entry["seq"])
         to_apply: List[Tuple[Entity, List[ScoredEdge]]] = []
         with self._lock:
             if record.uid in self._seen:
-                return
+                return []
             self._seen.add(record.uid)
             self._ingested += 1
             self._pending += 1
@@ -424,7 +444,8 @@ class StreamingResolver:
                 self._clustered += 1
                 self._resolved.add(uid)
         for replay_record, edges in to_apply:
-            self._apply_resolution(replay_record, edges)
+            self._apply_edges(replay_record, edges)
+        return [replay_record for replay_record, _ in to_apply]
 
     def _replay_retract(self, entry: Dict[str, object]) -> None:
         uid = str(entry["uid"])

@@ -2,9 +2,10 @@
 
 The log is a directory of segment files.  Entries append to the active
 ``wal-<index>.open`` file (one CRC32-framed JSON line per entry, flushed
-per append); when a segment reaches ``segment_entries`` entries it is
-*published* — atomically renamed to ``wal-<index>.seg`` via
-``os.replace``, the same tmp-then-replace discipline as ``repro.store``.
+per append through one handle kept open while the segment is active);
+when a segment reaches ``segment_entries`` entries it is *published* —
+atomically renamed to ``wal-<index>.seg`` via ``os.replace``, the same
+tmp-then-replace discipline as ``repro.store``.
 A reader therefore only ever sees either a fully published segment or
 the single active file whose tail may be torn by a crash.
 
@@ -28,8 +29,9 @@ from __future__ import annotations
 
 import json
 import os
+import weakref
 import zlib
-from typing import Dict, List, Optional, Tuple
+from typing import IO, Dict, List, Optional, Tuple
 
 from repro.reliability import RetryPolicy, fault_point, retry_with_backoff
 from repro.reliability.counters import COUNTERS
@@ -83,6 +85,11 @@ class WriteAheadLog:
         self.segment_entries = int(segment_entries)
         self.retry_policy = retry_policy
         self._io = named_lock("resolve.wal.io")
+        #: Append handle on the active segment; its finalizer closes it
+        #: when the log is closed, published or abandoned (a log left
+        #: behind after a ``kill`` fault leaks no file).
+        self._handle: Optional[IO[str]] = None
+        self._handle_finalizer: Optional[weakref.finalize] = None
         os.makedirs(directory, exist_ok=True)
         with self._io:
             self._scan()
@@ -90,6 +97,7 @@ class WriteAheadLog:
     # -- directory state -----------------------------------------------
     def _scan(self) -> None:
         """Adopt the on-disk state: published segments, active file, tmps."""
+        self._close_handle()
         published: List[str] = []
         open_files: List[str] = []
         for name in sorted(os.listdir(self.directory)):
@@ -156,15 +164,19 @@ class WriteAheadLog:
                     self.directory, f"wal-{self._next_index:08d}{OPEN_SUFFIX}")
                 self._next_index += 1
                 self._open_count = 0
-            with open(self._open_path, "a", encoding="utf-8") as fh:
-                fh.write(line + "\n")
-                fh.flush()
+            if self._handle is None:
+                self._handle = open(self._open_path, "a", encoding="utf-8")
+                self._handle_finalizer = weakref.finalize(
+                    self, self._handle.close)
+            self._handle.write(line + "\n")
+            self._handle.flush()
             self._open_count += 1
             if self._open_count >= self.segment_entries:
                 self._publish_open()
 
     def _publish_open(self) -> None:
         """Atomically promote the active file to an immutable segment."""
+        self._close_handle()
         final = self._open_path[:-len(OPEN_SUFFIX)] + SEGMENT_SUFFIX
         os.replace(self._open_path, final)
         self._segments.append(final)
@@ -176,6 +188,13 @@ class WriteAheadLog:
         with self._io:
             if self._open_path is not None and self._open_count > 0:
                 self._publish_open()
+            self._close_handle()
+
+    def _close_handle(self) -> None:
+        if self._handle_finalizer is not None:
+            self._handle_finalizer()  # closes the handle, once
+        self._handle = None
+        self._handle_finalizer = None
 
     # -- replay ---------------------------------------------------------
     def replay(self) -> List[Dict[str, object]]:

@@ -18,6 +18,7 @@ from repro.blocking import (MinHashLSHBlocker, RandomProjectionBlocker,
 from repro.data.schema import Entity, EntityPair
 from repro.guard.perturb import KINDS, perturb_entity
 from repro.matchers.base import Matcher
+from repro.perf.cache import bump_params_version
 from repro.pipeline import ERPipeline
 from repro.reliability.counters import COUNTERS
 from repro.reliability.faults import CorruptDataFault, FaultPlan, inject
@@ -159,6 +160,94 @@ class TestAnnFuzz:
             RandomProjectionBlocker(planes=128, bands=2)  # >63-bit bands
         with pytest.raises(ValueError):
             MinHashLSHBlocker(char_ngrams=0)
+
+
+# ======================================================================
+# The query path: numpy self-exclusion, one signature per streamed record
+# ======================================================================
+ANN_FACTORIES = [
+    lambda: MinHashLSHBlocker(seed=4, num_perm=32, bands=16),
+    lambda: RandomProjectionBlocker(seed=4, planes=64, bands=8),
+]
+
+
+def _brute_force_candidates(blocker, record, k):
+    """Reference: every indexed row whose bands meet the query's, minus
+    the query's uid by a per-id comparison, top-k by (similarity, id)."""
+    qrow = blocker._row_batch([record])[0]
+    qbands = blocker._band_values(qrow[None, :])[0]
+    indexed = list(blocker.records)
+    rows = blocker._row_batch(indexed)
+    bands = blocker._band_values(rows)
+    ids = [j for j in range(len(indexed))
+           if (bands[j] == qbands).any() and indexed[j].uid != record.uid]
+    if len(ids) > k:
+        sims = blocker._similarity(rows[ids], qrow)
+        ranked = sorted(range(len(ids)), key=lambda i: (-sims[i], ids[i]))
+        ids = sorted(ids[i] for i in ranked[:k])
+    return ids
+
+
+def _index_state(blocker):
+    n = len(blocker)
+    return (blocker._rows[:n].tobytes(), blocker._sums[:n].tobytes(),
+            blocker._buckets)
+
+
+@pytest.mark.parametrize("factory", ANN_FACTORIES, ids=["lsh", "rp"])
+class TestAnnQueryPath:
+    def test_candidates_match_brute_force_with_repeated_uids(self, factory):
+        table = _seeded_table(60, seed=4, vocab=30, tokens=6)
+        # One uid indexed twice with different text, one twice verbatim.
+        table += [_record("r3", table[5].text()), table[7]]
+        blocker = factory().fit(table)
+        queries = table + [_record("r3", table[3].text()),
+                           _record("fresh", table[9].text())]
+        for record in queries:
+            for k in (2, 8, len(table)):
+                assert blocker.candidates(record, k=k) \
+                    == _brute_force_candidates(blocker, record, k)
+
+    def _count_row_batches(self, monkeypatch, blocker):
+        calls = []
+        original = blocker._row_batch
+
+        def counting(entities):
+            calls.append(len(entities))
+            return original(entities)
+
+        monkeypatch.setattr(blocker, "_row_batch", counting)
+        return calls
+
+    def test_candidates_then_add_computes_signature_once(self, factory,
+                                                         monkeypatch):
+        table = _seeded_table(40, seed=2)
+        blocker = factory().fit(table[:-1])
+        calls = self._count_row_batches(monkeypatch, blocker)
+        blocker.candidates(table[-1], k=4)
+        blocker.add(table[-1])
+        assert calls == [1]
+        assert _index_state(blocker) == _index_state(factory().fit(table))
+
+    def test_add_of_another_record_computes_its_own(self, factory,
+                                                    monkeypatch):
+        table = _seeded_table(40, seed=2)
+        blocker = factory().fit(table[:-1])
+        calls = self._count_row_batches(monkeypatch, blocker)
+        blocker.candidates(table[0], k=4)
+        blocker.add(table[-1])
+        assert calls == [1, 1]
+        assert _index_state(blocker) == _index_state(factory().fit(table))
+
+    def test_weight_reload_between_query_and_add_recomputes(self, factory,
+                                                            monkeypatch):
+        table = _seeded_table(10, seed=2)
+        blocker = factory().fit(table[:-1])
+        calls = self._count_row_batches(monkeypatch, blocker)
+        blocker.candidates(table[-1], k=4)
+        bump_params_version()
+        blocker.add(table[-1])
+        assert calls == [1, 1]
 
 
 # ======================================================================

@@ -7,7 +7,8 @@ register a factory here to inherit the full battery:
 * determinism across two fresh same-seed builds,
 * candidates sorted strictly increasing, no duplicates, no self-pairs,
 * ``add(record)`` then ``candidates(...)`` bitwise-equal to rebuilding the
-  index with the record included (incremental-add parity),
+  index with the record included (incremental-add parity), and likewise
+  for a batched ``add_many(records)``,
 * graceful behaviour on empty / single-record tables and invalid ``k``.
 """
 
@@ -113,6 +114,16 @@ class TestBlockerConformance:
         for record in TABLE[:12]:
             assert grown.candidates(record, k=4) \
                 == fitted.candidates(record, k=4)
+
+    def test_add_many_after_fit_equals_fit(self, make_blocker):
+        head, tail = TABLE[:20], TABLE[20:]
+        grown = make_blocker().fit(head)
+        grown.add_many(tail)
+        fitted = make_blocker().fit(TABLE)
+        assert [r.uid for r in grown.records] == [r.uid for r in TABLE]
+        for record in TABLE:
+            assert grown.candidates(record, k=8) \
+                == fitted.candidates(record, k=8)
 
     def test_records_in_index_order(self, make_blocker):
         blocker = make_blocker().fit(TABLE)

@@ -24,7 +24,9 @@ Covers the ``repro.resolve`` package end to end:
 
 from __future__ import annotations
 
+import gc
 import os
+import warnings
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -243,13 +245,24 @@ class TestWriteAheadLog:
         for i in range(6):
             wal.commit({"seq": i})
         first_segment = wal.segments[0]
-        lines = open(first_segment, encoding="utf-8").read().splitlines()
+        with open(first_segment, encoding="utf-8") as fh:
+            lines = fh.read().splitlines()
         with open(first_segment, "w", encoding="utf-8") as fh:
             fh.write(lines[0] + "\n")
             fh.write("garbage\n")
         assert [e["seq"] for e in wal.replay()] == [0]
         assert COUNTERS.as_dict()["wal_truncations"] == 1
         assert wal.entry_count() == 1
+
+    def test_abandoned_log_closes_its_handle(self, tmp_path):
+        wal = WriteAheadLog(str(tmp_path))
+        wal.commit({"seq": 0})
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", ResourceWarning)
+            del wal
+            gc.collect()
+        assert not [w for w in caught
+                    if issubclass(w.category, ResourceWarning)]
 
     def test_stray_tmp_files_removed_on_scan(self, tmp_path):
         (tmp_path / "wal-00000000.seg.tmp.999").write_text("junk")
@@ -780,6 +793,12 @@ def _run_stream(records: List[Entity], wal: Optional[WriteAheadLog],
     return resolver, None
 
 
+def _index_state(blocker) -> Tuple[List[str], bytes, bytes, Dict]:
+    n = len(blocker)
+    return ([r.uid for r in blocker.records], blocker._rows[:n].tobytes(),
+            blocker._sums[:n].tobytes(), blocker._buckets)
+
+
 class TestCrashResume:
     def test_resume_after_kill_is_bitwise_identical(self, tmp_path):
         records = _group_stream(groups=4, views=3)
@@ -839,6 +858,38 @@ class TestCrashResume:
         assert resumed.store.digest() == resolver.store.digest()
         stats = _assert_conserved(resumed)
         assert stats["ingested"] == len(records)
+
+    @pytest.mark.parametrize("kill_at", [None, 9])
+    def test_resumed_blocker_equals_live_index(self, tmp_path, kill_at):
+        """The batched replay index equals the live run's, and records
+        left released-but-unresolved by a kill are re-scored against it."""
+        records = _group_stream(groups=4, views=3)
+        live, _ = _run_stream(records, WriteAheadLog(str(tmp_path / "live")))
+        plan = None if kill_at is None else FaultPlan((FaultSpec(
+            site="resolve.wal", kind="kill", at=(kill_at,)),))
+        wal_dir = str(tmp_path / "wal")
+        crashed, killed_at = _run_stream(
+            records, WriteAheadLog(wal_dir, retry_policy=FAST_RETRY),
+            kill_plan=plan)
+        assert (killed_at is None) == (kill_at is None)
+        resumed = StreamingResolver.resume(
+            JaccardScorer(), WriteAheadLog(wal_dir),
+            config=ResolveConfig(seed=1))
+        if kill_at is None:
+            assert _index_state(resumed.blocker) == _index_state(live.blocker)
+        else:
+            # The resolution the kill interrupted was re-scored and added.
+            assert len(resumed.blocker) > len(crashed.blocker)
+        n = len(resumed.blocker)
+        assert [r.uid for r in resumed.blocker.records] \
+            == [r.uid for r in live.blocker.records[:n]]
+        assert resumed.blocker._rows[:n].tobytes() \
+            == live.blocker._rows[:n].tobytes()
+        for seq, record in enumerate(records):
+            resumed.offer(record, seq=seq)
+        resumed.close()
+        assert _index_state(resumed.blocker) == _index_state(live.blocker)
+        assert resumed.store.digest() == live.store.digest()
 
     def test_chaos_soak_kill_everywhere_conserves_and_converges(self,
                                                                 tmp_path):
