@@ -33,7 +33,10 @@ lint:
 # and a streaming-resolution smoke (~500-record multi-source stream:
 # streaming must equal offline batch clustering exactly, and a SIGKILLed
 # `repro resolve` run must resume to a bitwise-identical cluster state).
+# Right after lint, `repro lockgraph` checks the static lock graph against
+# LOCK_HIERARCHY and exits 1 on a cycle.
 ci: lint
+	PYTHONPATH=src $(PYTHON) -m repro lockgraph > /dev/null
 	PYTHONPATH=src $(PYTHON) -m pytest tests/ -q -m "not slow"
 	PYTHONPATH=src $(PYTHON) -m repro serve --dataset Beer --fast --soak \
 		--lockcheck --replicas 2 --clients 3 --requests 4 --pairs 6 --capacity 8

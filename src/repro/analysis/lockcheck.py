@@ -268,9 +268,12 @@ def watch_attributes(cls: type, guards: Dict[str, str]) -> Callable[[], None]:
     ``guards`` maps attribute name -> required lock name.  The *first*
     write of each attribute (``__init__``, before the instance is shared)
     is exempt; every rebind after that must hold the named lock.
-    Returns an uninstaller restoring the original ``__setattr__``.
+    Returns an uninstaller restoring the original ``__setattr__``; an
+    inherited one is restored by deleting the override, so a base class
+    and its subclasses can be watched (and unwatched) independently.
     """
     original = cls.__setattr__
+    owned = "__setattr__" in vars(cls)
 
     def checked(self, name, value, _original=original, _guards=dict(guards)):
         lock_name = _guards.get(name)
@@ -284,7 +287,10 @@ def watch_attributes(cls: type, guards: Dict[str, str]) -> Callable[[], None]:
     cls.__setattr__ = checked
 
     def uninstall():
-        cls.__setattr__ = original
+        if owned:
+            cls.__setattr__ = original
+        else:
+            del cls.__setattr__
     return uninstall
 
 
@@ -302,10 +308,14 @@ def install_watches() -> Callable[[], None]:
     from repro.reliability.counters import RecoveryCounters
     from repro.serving.breaker import BreakerStats, CircuitBreaker
     from repro.serving.cluster import ClusterService
-    from repro.serving.service import InferenceService, _ServiceCounters
+    from repro.serving.service import (
+        InferenceService,
+        RequestCore,
+        _RequestCounters,
+    )
 
     uninstallers = [
-        watch_attributes(_ServiceCounters, {
+        watch_attributes(_RequestCounters, {
             attr: "serving.counters" for attr in (
                 "submitted", "answered", "rejected", "errors",
                 "deadline_missed")}),
@@ -328,18 +338,14 @@ def install_watches() -> Callable[[], None]:
         watch_attributes(RecoveryCounters, {
             field.name: "reliability.counters"
             for field in dataclasses.fields(RecoveryCounters)}),
+        # The core before its front ends: their watches wrap its own.
+        watch_attributes(RequestCore, {
+            attr: "serving.submit" for attr in (
+                "_closed", "_started", "_drained", "_threads", "_next_id")}),
         watch_attributes(InferenceService, {
-            "_closed": "serving.submit", "_started": "serving.submit",
-            "_workers": "serving.submit", "_next_id": "serving.submit",
-            "_drained": "serving.submit",
             "_queries_blocked": "serving.blocker",
             "_query_candidates": "serving.blocker"}),
         watch_attributes(ClusterService, {
-            "_closed": "serving.cluster.submit",
-            "_started": "serving.cluster.submit",
-            "_drained": "serving.cluster.submit",
-            "_threads": "serving.cluster.submit",
-            "_next_request_id": "serving.cluster.submit",
             "_records": "serving.cluster.records",
             "_pending": "serving.cluster.coalesce",
             "_pending_pairs": "serving.cluster.coalesce",

@@ -42,8 +42,7 @@ LOCK_HIERARCHY: Dict[str, int] = {
     "resolve.stream": 4,         # streaming resolver: reorder buffer + stats
     "resolve.store": 6,          # incremental cluster store partition state
     "resolve.wal.io": 8,         # write-ahead-log segment file serialization
-    "serving.submit": 10,        # admission/lifecycle (InferenceService)
-    "serving.cluster.submit": 12,    # cluster admission/lifecycle (ClusterService)
+    "serving.submit": 10,        # request core: admission/lifecycle/registry
     "serving.cluster.records": 14,   # retained records + sharded index map
     "serving.cluster.coalesce": 16,  # cross-request batch coalescing buffer
     "serving.cluster.replicas": 18,  # replica table: procs, beats, in-flight

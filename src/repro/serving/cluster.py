@@ -40,14 +40,16 @@ supervisor declares a replica dead when its process exits (``kill -9``)
 and wedged when beats stop, then pops the replica's in-flight batches
 (ownership transfer — a late result from the old incarnation is dropped
 as stale), fails them over to a surviving replica (or the local tier-2/3
-cascade once ``max_redispatch`` is exhausted or every breaker is open),
+cascade once :data:`MAX_REDISPATCH` is exhausted or every breaker is open),
 and respawns the replica with its index shard rebuilt from the router's
 retained records.  Every replica incarnation gets a *fresh* work queue,
 so work left in a dead incarnation's queue can never be double-processed.
 Conservation (``answered + rejected == submitted``) holds across the
 crash: a batch is always either completed by exactly one owner or
 explicitly failed over, and ``close()`` drains every admitted request
-before teardown.
+before teardown.  Admission, answering, the tier-2/3 fallback walk and
+the drain are the shared :class:`~repro.serving.service.RequestCore`'s;
+this module adds only what a router over processes needs.
 
 **Sharded blocking.**  :meth:`ClusterService.index_record` routes each
 retained record to the replica a consistent-hash ring assigns it;
@@ -59,8 +61,9 @@ Fault sites: ``serving.replica`` fires inside the replica scoring path
 (``transient`` absorbed by in-replica retry, ``stall`` sleeps, ``corrupt``
 mangles the response so router-side validation catches it, ``kill`` makes
 the replica ``os._exit`` like a SIGKILL); ``serving.dispatch`` fires in
-the router's dispatch path.  New locks rank between ``serving.submit``
-and ``serving.blocker`` in ``LOCK_HIERARCHY`` (see docs/ANALYSIS.md).
+the router's dispatch path.  The router's locks rank between the core's
+``serving.submit`` and ``serving.blocker`` in ``LOCK_HIERARCHY`` (see
+docs/ANALYSIS.md).
 """
 
 from __future__ import annotations
@@ -94,13 +97,7 @@ from repro.reliability.faults import (
 from repro.reliability.locks import named_lock
 from repro.reliability.retry import RetryPolicy, retry_with_backoff
 from repro.serving.breaker import OPEN, CircuitBreaker
-from repro.serving.service import (
-    MatchResponse,
-    PendingResponse,
-    ServiceClosed,
-    ServiceOverloaded,
-    _ServiceCounters,
-)
+from repro.serving.service import PendingResponse, RequestCore, _Request
 from repro.serving.tiers import DegradationCascade, ScoringTier
 from repro.store.scorer import StoreBackedScorer
 
@@ -108,6 +105,21 @@ from repro.store.scorer import StoreBackedScorer
 #: the left and right WpC blocks plus one separator through the frozen LM
 #: encoder, so ``2 * pad_width + 1 <= max_len (128)``.
 MAX_PAD_WIDTH = 63
+
+#: Replica idle-loop beat period (the work queue poll timeout).
+HEARTBEAT_INTERVAL = 0.05
+#: Supervisor scan period.
+SUPERVISOR_INTERVAL = 0.05
+#: Batch failovers before giving up on tier 1 and answering locally.
+MAX_REDISPATCH = 2
+#: Respawn budget per replica slot.
+MAX_RESPAWNS = 8
+#: How long a broadcast shard query waits for stragglers.
+QUERY_TIMEOUT = 10.0
+#: ``multiprocessing`` start method: spawn keeps children free of
+#: inherited router locks/threads (fork could freeze a child whose heap
+#: snapshot caught a lock mid-acquisition).
+START_METHOD = "spawn"
 
 
 # ======================================================================
@@ -157,18 +169,10 @@ class ClusterConfig:
     #: (always correct, wastes head FLOPs — pass :func:`pad_width_for` of
     #: the serving pool instead).  Requests wider than this dispatch solo.
     pad_width: Optional[int] = None
-    #: Replica idle-loop beat period (the work queue poll timeout).
-    heartbeat_interval: float = 0.05
     #: Beats may go silent this long before a replica counts as wedged.
     heartbeat_timeout: float = 5.0
     #: Wedge grace for a spawning replica (import + unpickle are slow).
     spawn_grace: float = 120.0
-    #: Supervisor scan period.
-    supervisor_interval: float = 0.05
-    #: Batch failovers before giving up on tier 1 and answering locally.
-    max_redispatch: int = 2
-    #: Respawn budget per replica slot.
-    max_respawns: int = 8
     #: Per-replica circuit breaker (crashes and errors count as failures).
     breaker_failures: int = 3
     breaker_reset: float = 0.25
@@ -179,18 +183,12 @@ class ClusterConfig:
     stall_seconds: float = 0.05
     #: Per-request deadline unless ``submit`` passes an explicit one.
     default_deadline: Optional[float] = None
-    #: How long a broadcast shard query waits for stragglers.
-    query_timeout: float = 10.0
     #: ``close()`` waits this long for in-flight requests to drain before
     #: force-answering the leftovers (still conserved, stamped "error").
     drain_timeout: float = 60.0
     #: Deterministic fault specs shipped to every replica (each replica
     #: process builds its own plan; ``serving.replica`` is the site).
     replica_faults: Tuple[FaultSpec, ...] = ()
-    #: ``multiprocessing`` start method; spawn keeps children free of
-    #: inherited router locks/threads (fork could freeze a child whose
-    #: heap snapshot caught a lock mid-acquisition).
-    start_method: str = "spawn"
 
 
 # ======================================================================
@@ -247,7 +245,6 @@ class _ReplicaPayload:
     scorer: object
     retry: RetryPolicy
     stall_seconds: float
-    heartbeat_interval: float
     fault_specs: Tuple[FaultSpec, ...] = ()
     blocker_factory: Optional[object] = None
     shard: Tuple[Tuple[int, Entity], ...] = ()
@@ -297,7 +294,7 @@ def _replica_main(replica_id: int, incarnation: int,
         served = 0
         while True:
             try:
-                message = work_q.get(timeout=payload.heartbeat_interval)
+                message = work_q.get(timeout=HEARTBEAT_INTERVAL)
             except queue.Empty:
                 message = None
             if message is None:
@@ -353,28 +350,31 @@ def _replica_main(replica_id: int, incarnation: int,
             response_q.put(("beat", replica_id, incarnation, served))
 
 
+def _reap(proc) -> None:
+    """Stop a replica process that will not go quietly: terminate, then
+    kill."""
+    for stop in (proc.terminate, proc.kill):
+        if proc.is_alive():
+            stop()
+            proc.join(timeout=2.0)
+
+
 # ======================================================================
 # Router-side bookkeeping records (plain holders; every mutation happens
 # under the ClusterService lock noted on the owning table)
 # ======================================================================
 @dataclasses.dataclass
-class _ClusterRequest:
-    """One admitted request; segment state guarded by serving.cluster.submit."""
+class _ClusterRequest(_Request):
+    """An admitted request plus its segment state (guarded by
+    serving.submit): batches fill their slices in, and the worst tier
+    seen stamps the response."""
 
-    id: int
-    pairs: Tuple[EntityPair, ...]
-    admitted_at: float
-    deadline_at: Optional[float]
-    pending: PendingResponse
-    scores: np.ndarray
-    labels: np.ndarray
+    scores: Optional[np.ndarray] = None
+    labels: Optional[np.ndarray] = None
     fusible: bool = True
     filled: int = 0
-    worst_level: int = 0
-    tier_name: Optional[str] = None
+    tier: Optional[ScoringTier] = None
     degrade_reason: Optional[str] = None
-    redispatched: bool = False
-    error: Optional[str] = None
 
 
 @dataclasses.dataclass
@@ -389,6 +389,7 @@ class _Batch:
     redispatched: bool = False
 
 
+@dataclasses.dataclass(eq=False)
 class _Replica:
     """Router-side view of one replica incarnation (serving.cluster.replicas).
 
@@ -403,27 +404,20 @@ class _Replica:
     victim's work over by then.
     """
 
-    __slots__ = ("rid", "proc", "work_q", "resp_q", "collector",
-                 "incarnation", "alive", "ready",
-                 "last_beat", "beats", "respawns", "breaker", "shard_size",
-                 "faults_fired")
-
-    def __init__(self, rid: int, proc, work_q, resp_q, incarnation: int,
-                 breaker: CircuitBreaker, shard_size: int):
-        self.rid = rid
-        self.proc = proc
-        self.work_q = work_q
-        self.resp_q = resp_q
-        self.collector: Optional[threading.Thread] = None
-        self.incarnation = incarnation
-        self.alive = True
-        self.ready = False
-        self.last_beat = 0.0
-        self.beats = 0
-        self.respawns = 0
-        self.breaker = breaker
-        self.shard_size = shard_size
-        self.faults_fired: Dict[str, int] = {}
+    rid: int
+    proc: object
+    work_q: object
+    resp_q: object
+    incarnation: int
+    breaker: CircuitBreaker
+    shard_size: int
+    collector: Optional[threading.Thread] = None
+    alive: bool = True
+    ready: bool = False
+    last_beat: float = 0.0
+    beats: int = 0
+    respawns: int = 0
+    faults_fired: Dict[str, int] = dataclasses.field(default_factory=dict)
 
 
 @dataclasses.dataclass
@@ -436,39 +430,22 @@ class _Query:
     event: threading.Event
 
 
-class _ClusterCounters(_ServiceCounters):
-    """Conservation bookkeeping plus atomic bounded admission."""
-
-    def try_admit(self, capacity: int) -> bool:
-        """Count a submission and admit it iff in-flight stays in bounds.
-
-        One atomic step so the capacity check can never race another
-        submit between read and reject (the submission *and* its
-        rejection land in the same snapshot either way).
-        """
-        with self._lock:
-            self.submitted += 1
-            if self.submitted - self.answered - self.rejected > capacity:
-                self.rejected += 1
-                return False
-            return True
-
-
 # ======================================================================
 # The router
 # ======================================================================
-class ClusterService:
-    """Router over N replica processes: admission, coalescing, failover.
+class ClusterService(RequestCore):
+    """Router over N replica processes: coalescing, dispatch, failover.
 
     Use as a context manager (``with ClusterService(...) as svc``) or call
-    :meth:`start` / :meth:`close` explicitly.  The ``submit`` /
-    ``submit_query`` / ``index_record`` / ``stats`` surface mirrors
-    :class:`~repro.serving.service.InferenceService`, so soak harnesses
-    and clients drive either interchangeably.
+    :meth:`start` / :meth:`close` explicitly.  Admission (in-flight bounded
+    by ``queue_capacity``), answering, fallback, drain and the shared
+    stats come from :class:`~repro.serving.service.RequestCore`, so soak
+    harnesses and clients drive this and
+    :class:`~repro.serving.service.InferenceService` interchangeably.
 
-    Thread/lock layout (ranks in ``LOCK_HIERARCHY``): admission,
-    lifecycle, and per-request segment state under
-    ``serving.cluster.submit``; the retained record table under
+    Thread/lock layout (ranks in ``LOCK_HIERARCHY``): the core's
+    lifecycle, open-request registry and per-request segment state under
+    ``serving.submit``; the retained record table under
     ``serving.cluster.records``; the coalescing buffer under
     ``serving.cluster.coalesce``; the replica table, in-flight batch
     table, and open queries under ``serving.cluster.replicas``.  Blocking
@@ -476,14 +453,16 @@ class ClusterService:
     forwards) always runs outside these locks.
     """
 
+    _request_type = _ClusterRequest
+
     def __init__(self, cascade: DegradationCascade,
                  config: ClusterConfig = ClusterConfig(),
                  blocker_factory=None,
                  store_path: Optional[str] = None):
         if config.replicas < 1:
             raise ValueError("a cluster needs at least one replica")
-        self.cascade = cascade
-        self.config = config
+        super().__init__(cascade, config, inflight_bound=config.queue_capacity,
+                         drain_timeout=config.drain_timeout)
         #: Factory building one *empty* shard blocker per replica; must be
         #: picklable (a module-level class or ``functools.partial``).
         self.blocker_factory = blocker_factory
@@ -511,19 +490,12 @@ class ClusterService:
             # padding, so every request is fusible by construction.
             self.pad_width = config.pad_width or 0
 
-        self.counters = _ClusterCounters()
-        self._submit_lock = named_lock("serving.cluster.submit")
         self._records_lock = named_lock("serving.cluster.records")
         self._coalesce_lock = named_lock("serving.cluster.coalesce")
         self._replicas_lock = named_lock("serving.cluster.replicas")
 
-        self._closed = False
-        self._started = False
-        self._drained = False
-        self._next_request_id = 0
         self._next_batch_id = 0
         self._next_query_id = 0
-        self._requests: Dict[int, _ClusterRequest] = {}
 
         self._records: List[Entity] = []
 
@@ -544,11 +516,13 @@ class ClusterService:
         self._query_shard_misses = 0
 
         self._flush_event = threading.Event()
+        #: Set by the drain: flush whatever is buffered without waiting
+        #: out the coalesce window.
+        self._draining = threading.Event()
         self._stop_event = threading.Event()
-        self._threads: List[threading.Thread] = []
         self._fallback_q: "queue.Queue" = queue.Queue()
 
-        self._ctx = multiprocessing.get_context(config.start_method)
+        self._ctx = multiprocessing.get_context(START_METHOD)
         self._ring = ConsistentHashRing(range(config.replicas))
         self._payload = self._build_payload()
 
@@ -568,26 +542,20 @@ class ClusterService:
             scorer=ship,
             retry=self.config.retry,
             stall_seconds=self.config.stall_seconds,
-            heartbeat_interval=self.config.heartbeat_interval,
             fault_specs=tuple(self.config.replica_faults),
             blocker_factory=self.blocker_factory,
-            shard=(),
             store_path=self.store_path,
             default_dtype=get_default_dtype(),
             scale=get_scale(),
         )
 
-    # -- lifecycle ------------------------------------------------------
-    def start(self) -> "ClusterService":
-        with self._submit_lock:
-            if self._started:
-                return self
-            self._started = True
+    # -- core hooks -----------------------------------------------------
+    def _launch(self) -> List[threading.Thread]:
         for rid in range(self.config.replicas):
             replica = self._spawn_replica(rid, incarnation=0, shard=())
             with self._replicas_lock:
                 self._replicas[rid] = replica
-        threads = [
+        return [
             threading.Thread(target=self._dispatcher_loop,
                              name="cluster-dispatcher", daemon=True),
             threading.Thread(target=self._supervisor_loop,
@@ -595,11 +563,6 @@ class ClusterService:
             threading.Thread(target=self._fallback_loop,
                              name="cluster-fallback", daemon=True),
         ]
-        with self._submit_lock:
-            self._threads = threads
-        for thread in threads:
-            thread.start()
-        return self
 
     def wait_ready(self, timeout: float = 120.0) -> bool:
         """Block until every replica finished loading (or ``timeout``)."""
@@ -615,72 +578,21 @@ class ClusterService:
             time.sleep(0.01)
         return False
 
-    def close(self) -> None:
-        """Stop admitting, drain every accepted request, tear down.
-
-        Draining runs with the dispatcher/supervisor/fallback threads,
-        the per-replica collectors, and the replicas still live, so
-        in-flight work finishes
-        through the normal paths — including respawns, if a replica dies
-        during shutdown.  Anything still unanswered after
-        ``drain_timeout`` is force-answered with an explicit error
-        response; nothing is ever silently dropped.
-        """
-        with self._submit_lock:
-            if self._closed:
-                return
-            self._closed = True
-            threads = self._threads
+    def _wake(self) -> None:
+        self._draining.set()
         self._flush_event.set()
-        deadline = wall_clock() + self.config.drain_timeout
-        while wall_clock() < deadline:
-            if self.counters.snapshot()["in_flight"] == 0:
-                break
-            # Re-signal every poll: a submit that raced the close can land
-            # its pairs in the coalesce buffer *after* the dispatcher
-            # consumed the wake above.  With a long coalesce window the
-            # dispatcher would then sleep out the window while the drain
-            # spins, and the buffered pairs would be force-answered as
-            # errors at the drain timeout instead of flushed.
-            self._flush_event.set()
-            time.sleep(0.005)
-        if self.counters.snapshot()["in_flight"]:
-            self._force_answer_remaining()
+
+    def _shutdown(self, threads: List[threading.Thread]) -> None:
+        """Stop the router threads, then the replicas.  The core drained
+        first, with the dispatcher/supervisor/fallback threads, the
+        collectors and the replicas all live, so in-flight work finished
+        through the normal paths — including respawns, if a replica died
+        during shutdown."""
         self._stop_event.set()
         self._flush_event.set()
         for thread in threads:
             thread.join(timeout=30.0)
         self._stop_replicas()
-        with self._submit_lock:
-            self._threads = []
-            self._drained = True
-
-    def __enter__(self) -> "ClusterService":
-        return self.start()
-
-    def __exit__(self, *exc) -> None:
-        self.close()
-
-    def _force_answer_remaining(self) -> None:
-        """Drain-timeout floor: answer every leftover request explicitly."""
-        with self._coalesce_lock:
-            self._pending = []
-            self._pending_pairs = 0
-            self._oldest_pending = None
-        with self._replicas_lock:
-            self._inflight.clear()
-        with self._submit_lock:
-            leftovers = [request for request in self._requests.values()
-                         if not request.pending.done()]
-        finished = wall_clock()
-        for request in leftovers:
-            response = MatchResponse(
-                request_id=request.id, status="error", tier=None,
-                tier_level=None, scores=None, labels=None, degraded=True,
-                degrade_reason="fault", latency=finished - request.admitted_at,
-                error="drain timeout: request abandoned by all replicas",
-                redispatched=request.redispatched)
-            self._finish(request, response)
 
     def _stop_replicas(self) -> None:
         """Graceful replica teardown.
@@ -700,12 +612,7 @@ class ClusterService:
                     replica.work_q.put(("stop",))
         for replica in replicas:
             replica.proc.join(timeout=5.0)
-            if replica.proc.is_alive():
-                replica.proc.terminate()
-                replica.proc.join(timeout=2.0)
-            if replica.proc.is_alive():
-                replica.proc.kill()
-                replica.proc.join(timeout=2.0)
+            _reap(replica.proc)
         with self._replicas_lock:
             for replica in replicas:
                 replica.alive = False
@@ -780,11 +687,7 @@ class ClusterService:
             # A silent-but-running process still holds the model lock-free
             # serving loop hostage; take it down before handing its work
             # to someone else, so it cannot answer after the transfer.
-            replica.proc.terminate()
-            replica.proc.join(timeout=2.0)
-            if replica.proc.is_alive():
-                replica.proc.kill()
-                replica.proc.join(timeout=2.0)
+            _reap(replica.proc)
         orphans: List[_Batch] = []
         with self._replicas_lock:
             for batch_id in list(self._inflight):
@@ -792,7 +695,7 @@ class ClusterService:
                 if batch.owner == (replica.rid, replica.incarnation):
                     orphans.append(self._inflight.pop(batch_id))
         if not self._stop_event.is_set() \
-                and replica.respawns < self.config.max_respawns:
+                and replica.respawns < MAX_RESPAWNS:
             shard, watermark = self._shard_snapshot(replica.rid)
             fresh = self._spawn_replica(replica.rid,
                                         replica.incarnation + 1, shard)
@@ -815,7 +718,7 @@ class ClusterService:
 
     def _supervisor_loop(self) -> None:
         while not self._stop_event.is_set():
-            self._stop_event.wait(self.config.supervisor_interval)
+            self._stop_event.wait(SUPERVISOR_INTERVAL)
             if self._stop_event.is_set():
                 return
             now = wall_clock()
@@ -835,65 +738,28 @@ class ClusterService:
             for replica, why in dead:
                 self._handle_replica_death(replica, why)
 
-    # -- admission ------------------------------------------------------
-    def submit(self, pairs: Sequence[EntityPair],
-               deadline_s: Optional[float] = None) -> PendingResponse:
-        """Admit a scoring request or reject it explicitly.
-
-        Raises :class:`ServiceOverloaded` when ``queue_capacity`` requests
-        are already in flight and :class:`ServiceClosed` after shutdown;
-        both count as rejected (``COUNTERS.requests_shed``) so
-        conservation stays checkable.
-        """
-        if not self.counters.try_admit(self.config.queue_capacity):
-            COUNTERS.increment("requests_shed")
-            raise ServiceOverloaded(
-                f"{self.config.queue_capacity} requests already in flight; "
-                f"retry with backoff")
-        with self._submit_lock:
-            closed = self._closed
-            if not closed:
-                self._next_request_id += 1
-                request_id = self._next_request_id
-        if closed:
-            self.counters.record_reject()
-            COUNTERS.increment("requests_shed")
-            raise ServiceClosed("cluster is closed")
-        if deadline_s is None:
-            deadline_s = self.config.default_deadline
-        pairs = tuple(pairs)
-        fusible = all(pair_width(self.cascade.tier1.matcher, pair)
-                      <= self.pad_width for pair in pairs) \
-            if self.pad_width else True
+    def _enqueue(self, request: _ClusterRequest) -> None:
+        """Buffer an admitted request for coalescing (an empty one is
+        answered on the spot)."""
         now = wall_clock()
-        pending = PendingResponse(request_id)
-        request = _ClusterRequest(
-            id=request_id, pairs=pairs, admitted_at=now,
-            deadline_at=None if deadline_s is None else now + deadline_s,
-            pending=pending,
-            scores=np.zeros(len(pairs), dtype=np.float64),
-            labels=np.zeros(len(pairs), dtype=np.int64),
-            fusible=fusible)
-        if not pairs:
-            tier = self.cascade.tier1
-            response = MatchResponse(
-                request_id=request_id, status="ok", tier=tier.name,
-                tier_level=tier.level, scores=request.scores,
-                labels=request.labels, latency=wall_clock() - now)
-            self.counters.record_answer(response)
-            pending._fulfill(response)
-            return pending
-        with self._submit_lock:
-            self._requests[request_id] = request
+        request.scores = np.zeros(len(request.pairs), dtype=np.float64)
+        request.labels = np.zeros(len(request.pairs), dtype=np.int64)
+        if not request.pairs:
+            self.respond(request, self.cascade.tier1, request.scores,
+                         request.labels, None)
+            return
+        if self.pad_width:
+            request.fusible = all(
+                pair_width(self.cascade.tier1.matcher, pair) <= self.pad_width
+                for pair in request.pairs)
         with self._coalesce_lock:
             self._pending.append(request)
-            self._pending_pairs += len(pairs)
+            self._pending_pairs += len(request.pairs)
             if self._oldest_pending is None:
                 self._oldest_pending = now
             buffered = self._pending_pairs
         if buffered >= self.config.coalesce_pairs:
             self._flush_event.set()
-        return pending
 
     # -- coalescing + dispatch ------------------------------------------
     def _dispatcher_loop(self) -> None:
@@ -906,7 +772,7 @@ class ClusterService:
             due = buffered and (
                 buffered >= self.config.coalesce_pairs
                 or (oldest is not None and now - oldest >= window)
-                or self._stop_event.is_set() or self._closed_nolock())
+                or self._stop_event.is_set() or self._draining.is_set())
             if due:
                 self._flush()
                 continue
@@ -916,10 +782,6 @@ class ClusterService:
                 else max(window - (now - oldest), 0.001)
             self._flush_event.wait(timeout)
             self._flush_event.clear()
-
-    def _closed_nolock(self) -> bool:
-        with self._submit_lock:
-            return self._closed
 
     def _flush(self) -> None:
         """Drain the buffer into batches: fused packs, solos, expiries."""
@@ -935,7 +797,7 @@ class ClusterService:
         batches: List[Tuple[_Batch, Optional[str]]] = []
         for request in requests:
             whole = ((request, 0, len(request.pairs)),)
-            if request.deadline_at is not None and now >= request.deadline_at:
+            if request.expired(now):
                 batches.append((self._new_batch(whole), "deadline"))
             elif not request.fusible:
                 batches.append((self._new_batch(whole), None))
@@ -1057,7 +919,7 @@ class ClusterService:
         batch.redispatched = True
         COUNTERS.increment("requests_redispatched",
                            len({slice_[0].id for slice_ in batch.slices}))
-        if batch.attempts > self.config.max_redispatch:
+        if batch.attempts > MAX_REDISPATCH:
             self._to_fallback(batch, "replica-failed")
         else:
             self._dispatch(batch, exclude=batch.owner)
@@ -1099,56 +961,47 @@ class ClusterService:
             elif kind == "stopped":
                 self._on_stopped(*message[1:])
 
+    def _current(self, rid: int, incarnation: int) -> Optional[_Replica]:
+        """Replica ``rid`` if still ``incarnation``, else None (lock held)."""
+        replica = self._replicas.get(rid)
+        if replica is not None and replica.incarnation == incarnation:
+            return replica
+        return None
+
     def _on_beat(self, rid: int, incarnation: int, ready: bool) -> None:
         with self._replicas_lock:
-            replica = self._replicas.get(rid)
-            if replica is not None and replica.incarnation == incarnation:
+            replica = self._current(rid, incarnation)
+            if replica is not None:
                 replica.last_beat = wall_clock()
                 replica.beats += 1
                 if ready:
                     replica.ready = True
 
-    def _replica_of(self, rid: int, incarnation: int) -> Optional[_Replica]:
-        with self._replicas_lock:
-            replica = self._replicas.get(rid)
-            if replica is not None and replica.incarnation == incarnation:
-                return replica
-            return None
-
     def _on_result(self, rid: int, incarnation: int, batch_id: int,
                    values: List[float]) -> None:
-        batch = None
-        corrupt = False
+        scores = np.asarray(values, dtype=np.float64)
         with self._replicas_lock:
-            candidate = self._inflight.get(batch_id)
-            if candidate is None:
+            batch = self._inflight.pop(batch_id, None)
+            if batch is None:
                 # Stale: the batch was already completed or transferred
                 # to a new owner (who will be the one to answer it).
                 self._stale_results += 1
-            else:
-                scores = np.asarray(values, dtype=np.float64)
-                if scores.shape[0] == len(candidate.pairs) \
-                        and bool(np.isfinite(scores).all()):
-                    batch = self._inflight.pop(batch_id)
-                else:
-                    # Router-side validation: a mangled response is a
-                    # replica failure, not an answer.
-                    corrupt = True
-                    batch = self._inflight.pop(batch_id)
-        replica = self._replica_of(rid, incarnation)
-        if batch is None:
-            return
-        if corrupt:
-            with self._replicas_lock:
+                return
+            # Router-side validation: a mangled response is a replica
+            # failure, not an answer.
+            corrupt = scores.shape[0] != len(batch.pairs) \
+                or not bool(np.isfinite(scores).all())
+            if corrupt:
                 self._replica_errors += 1
+            replica = self._current(rid, incarnation)
+        if corrupt:
             if replica is not None:
                 replica.breaker.record_failure()
             self._failover(batch)
             return
         if replica is not None:
             replica.breaker.record_success()
-        self._complete(batch, np.asarray(values, dtype=np.float64),
-                       self.cascade.tier1, reason=None)
+        self._complete(batch, scores, self.cascade.tier1, reason=None)
 
     def _on_error(self, rid: int, incarnation: int,
                   batch_id: Optional[int], detail: str) -> None:
@@ -1160,7 +1013,7 @@ class ClusterService:
                 if candidate is not None \
                         and candidate.owner == (rid, incarnation):
                     batch = self._inflight.pop(batch_id)
-        replica = self._replica_of(rid, incarnation)
+            replica = self._current(rid, incarnation)
         if replica is not None:
             replica.breaker.record_failure()
         if batch is not None:
@@ -1180,8 +1033,8 @@ class ClusterService:
     def _on_stopped(self, rid: int, incarnation: int,
                     fired: Dict[object, int]) -> None:
         with self._replicas_lock:
-            replica = self._replicas.get(rid)
-            if replica is not None and replica.incarnation == incarnation:
+            replica = self._current(rid, incarnation)
+            if replica is not None:
                 replica.alive = False
                 replica.faults_fired = {
                     f"{site}:{kind}": count
@@ -1189,12 +1042,9 @@ class ClusterService:
 
     # -- local fallback scoring -----------------------------------------
     def _fallback_loop(self) -> None:
-        """Tier-2/3 answers for batches tier 1 could not serve.
-
-        Deadline-expired batches skip straight to the floor (matching the
-        single-process cascade); everything else tries the feature tier
-        first and degrades to the floor if it faults.
-        """
+        """Tier-2/3 answers for batches tier 1 could not serve, through
+        the core's fallback walk (deadline-expired batches drop straight
+        to the floor)."""
         while True:
             try:
                 item = self._fallback_q.get(timeout=0.05)
@@ -1205,15 +1055,8 @@ class ClusterService:
                     return
                 continue
             batch, reason = item
-            pairs = list(batch.pairs)
-            tier = self.cascade.by_level(3 if reason == "deadline" else 2)
-            try:
-                scores = tier.score(pairs)
-            except Exception:
-                tier = self.cascade.by_level(3)
-                scores = tier.score(pairs)
-            COUNTERS.increment("tier2_degradations" if tier.level == 2
-                               else "tier3_degradations")
+            tier, scores = self.fallback(batch.id, list(batch.pairs),
+                                         expired=reason == "deadline")
             self._complete(batch, np.asarray(scores, dtype=np.float64),
                            tier, reason=reason)
 
@@ -1224,8 +1067,8 @@ class ClusterService:
 
         Completion may run from the collector and the fallback thread
         concurrently (two batches of one split request), so segment state
-        mutates under ``serving.cluster.submit``; the labels forward runs
-        outside it.
+        mutates under ``serving.submit``; the labels forward runs outside
+        it.
         """
         labels = tier.predict(scores)
         finished: List[_ClusterRequest] = []
@@ -1235,9 +1078,8 @@ class ClusterService:
                 request.scores[start:start + count] = scores[offset:offset + count]
                 request.labels[start:start + count] = labels[offset:offset + count]
                 request.filled += count
-                if tier.level >= request.worst_level:
-                    request.worst_level = tier.level
-                    request.tier_name = tier.name
+                if request.tier is None or tier.level >= request.tier.level:
+                    request.tier = tier
                     if reason is not None:
                         request.degrade_reason = reason
                 if batch.redispatched:
@@ -1245,29 +1087,9 @@ class ClusterService:
                 if request.filled >= len(request.pairs):
                     finished.append(request)
                 offset += count
-        now = wall_clock()
         for request in finished:
-            response = MatchResponse(
-                request_id=request.id, status="ok", tier=request.tier_name,
-                tier_level=request.worst_level, scores=request.scores,
-                labels=request.labels, degraded=request.worst_level > 1,
-                degrade_reason=request.degrade_reason,
-                deadline_missed=(request.deadline_at is not None
-                                 and now > request.deadline_at),
-                latency=now - request.admitted_at,
-                redispatched=request.redispatched)
-            self._finish(request, response)
-
-    def _finish(self, request: _ClusterRequest,
-                response: MatchResponse) -> None:
-        """Exactly-once finalization: only the thread that pops the
-        request from the registry answers it (completion and the
-        force-answer floor can race during shutdown)."""
-        with self._submit_lock:
-            live = self._requests.pop(request.id, None) is not None
-        if live:
-            self.counters.record_answer(response)
-            request.pending._fulfill(response)
+            self.respond(request, request.tier, request.scores,
+                         request.labels, request.degrade_reason)
 
     # -- sharded online blocking -----------------------------------------
     def index_record(self, record: Entity) -> int:
@@ -1299,7 +1121,7 @@ class ClusterService:
 
         Candidate membership is the union of each live shard's top-``k``;
         emission is deterministic (ascending retained-record index, capped
-        at ``k``).  Shards that miss the ``query_timeout`` are counted in
+        at ``k``).  Shards that miss :data:`QUERY_TIMEOUT` are counted in
         ``stats()["sharding"]["query_shard_misses"]`` — a degraded recall
         answer, never a hang.
         """
@@ -1319,7 +1141,7 @@ class ClusterService:
             with contextlib.suppress(ValueError, OSError):
                 target_q.put(("query", qid, record, k))
         if targets:
-            event.wait(self.config.query_timeout)
+            event.wait(QUERY_TIMEOUT)
         with self._replicas_lock:
             self._queries.pop(qid, None)
             results = {rid: list(gidxs)
@@ -1337,20 +1159,9 @@ class ClusterService:
         return merged, self.submit(pairs, deadline_s=deadline_s)
 
     # -- observability ---------------------------------------------------
-    def healthy(self) -> bool:
-        """True while serving (a live replica exists) — and still true
-        after a *graceful* close that answered everything it admitted.
-        Only crash states (no live replica while open, or a close that
-        lost requests) read unhealthy."""
-        return bool(self.stats()["healthy"])
-
-    def stats(self) -> Dict[str, object]:
-        """Health/stats endpoint; every section is one consistent pass
-        under its own lock, taken in hierarchy order, never nested."""
-        with self._submit_lock:
-            closed = self._closed
-            drained = self._drained
-            open_requests = len(self._requests)
+    def _sections(self) -> Tuple[bool, Dict[str, object]]:
+        """Coalescing, replica table and sharding tallies; serving while
+        a live replica exists."""
         with self._coalesce_lock:
             coalesce = {
                 "window_s": self.config.coalesce_window,
@@ -1389,26 +1200,9 @@ class ClusterService:
                 "dispatch_faults": self._dispatch_faults,
                 "query_shard_misses": self._query_shard_misses,
             }
-        requests = self.counters.snapshot()
-        recovery = COUNTERS.as_dict()
-        healthy = (any_alive and not closed) \
-            or (closed and drained and bool(requests["conserved"]))
-        return {
-            "healthy": healthy,
-            "state": "closed" if closed else "running",
-            "service": {
-                "replicas": self.config.replicas,
-                "queue_capacity": self.config.queue_capacity,
-                "open_requests": open_requests,
-                "start_method": self.config.start_method,
-            },
-            "requests": requests,
+        return any_alive, {
+            "service": {"replicas": self.config.replicas},
             "coalesce": coalesce,
             "replica_table": replicas,
             "sharding": sharding,
-            "recovery": {key: recovery[key] for key in (
-                "transient_retries", "breaker_trips", "requests_shed",
-                "tier2_degradations", "tier3_degradations",
-                "replica_crashes", "replica_respawns",
-                "requests_redispatched")},
         }

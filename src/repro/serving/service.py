@@ -1,5 +1,6 @@
-"""The online inference service: bounded queue, worker pool, deadlines,
-circuit breaker, and the degradation cascade.
+"""The request core both serving front ends share, and the in-process
+front end on it: bounded queue, worker pool, deadlines, circuit breaker,
+and the degradation cascade.
 
 Request lifecycle::
 
@@ -17,7 +18,9 @@ Request lifecycle::
                        ▼
                       tier 3 (TF-IDF floor — always answers)
 
-Contracts the chaos soak asserts:
+Contracts the chaos soak asserts (admission, answering, fallback and
+drain are written once, in :class:`RequestCore`, for this service and the
+multi-process :class:`~repro.serving.cluster.ClusterService` alike):
 
 * **Conservation** — every submitted request is either answered (a
   ``MatchResponse``, possibly degraded, possibly carrying an error) or
@@ -61,7 +64,7 @@ from repro.store.scorer import StoreBackedScorer
 
 
 class ServiceOverloaded(RuntimeError):
-    """Admission control rejected the request: the queue is full."""
+    """Admission control rejected the request: the front end is full."""
 
 
 class ServiceClosed(RuntimeError):
@@ -148,15 +151,22 @@ class PendingResponse:
 
 @dataclasses.dataclass
 class _Request:
+    """One admitted request, held in the core's registry until answered."""
+
     id: int
     pairs: Tuple[EntityPair, ...]
-    admitted_at: float
-    deadline_at: Optional[float]
     pending: PendingResponse
+    admitted_at: float
+    deadline_at: Optional[float] = None
     quarantined: int = 0
+    redispatched: bool = False
+
+    def expired(self, now: Optional[float] = None) -> bool:
+        return self.deadline_at is not None \
+            and (wall_clock() if now is None else now) >= self.deadline_at
 
 
-class _ServiceCounters:
+class _RequestCounters:
     """Conservation bookkeeping, behind one lock."""
 
     def __init__(self):
@@ -168,9 +178,17 @@ class _ServiceCounters:
         self.deadline_missed = 0
         self.by_tier: Dict[int, int] = {1: 0, 2: 0, 3: 0}
 
-    def record_submit(self) -> None:
+    def try_admit(self, bound: Optional[int]) -> bool:
+        """Count a submission; admit it iff in-flight stays within
+        ``bound`` (``None``: no bound).  One atomic step, so an over-bound
+        submission is counted *and* rejected in the same snapshot."""
         with self._lock:
             self.submitted += 1
+            if bound is not None \
+                    and self.submitted - self.answered - self.rejected > bound:
+                self.rejected += 1
+                return False
+            return True
 
     def record_reject(self) -> None:
         with self._lock:
@@ -200,11 +218,303 @@ class _ServiceCounters:
             }
 
 
-class InferenceService:
-    """A trained matcher behind admission control and a worker pool.
+#: The recovery counters ``stats()["recovery"]`` reports, for either front
+#: end (a counter a front end never touches simply reads 0).
+RECOVERY_KEYS = (
+    "transient_retries", "cache_degraded", "breaker_trips", "requests_shed",
+    "tier2_degradations", "tier3_degradations", "records_quarantined",
+    "records_replayed", "drift_flags", "drift_forced_degradations",
+    "store_corrupt_shards", "store_build_discards", "blocking_index_rebuilds",
+    "replica_crashes", "replica_respawns", "requests_redispatched")
+
+
+class RequestCore:
+    """What both serving front ends do identically, written once.
+
+    :class:`InferenceService` (threads) and
+    :class:`~repro.serving.cluster.ClusterService` (replica processes)
+    differ only in how tier 1 gets scored.  The core owns the lifecycle
+    and the open-request registry (under ``serving.submit``), admission,
+    answering (:meth:`respond`/:meth:`fail`, exactly once via
+    :meth:`finish`), the tier-2/3 :meth:`fallback`, the drain in
+    :meth:`close`, and the shared ``stats()`` sections.  A front end
+    implements the hooks below.
+    """
+
+    _request_type = _Request
+
+    def __init__(self, cascade: DegradationCascade, config,
+                 inflight_bound: Optional[int] = None,
+                 drain_timeout: Optional[float] = None):
+        self.cascade = cascade
+        self.config = config
+        self.counters = _RequestCounters()
+        #: Bound on requests in flight, checked atomically at admission
+        #: (``None``: the front end bounds admission itself).
+        self._inflight_bound = inflight_bound
+        #: ``close()`` force-answers whatever is still open after this
+        #: long (``None``: wait as long as the work takes).
+        self._drain_timeout = drain_timeout
+        self._submit_lock = named_lock("serving.submit")
+        self._closed = False
+        self._started = False
+        self._drained = False
+        self._next_id = 0
+        self._requests: Dict[int, _Request] = {}
+        self._threads: List[threading.Thread] = []
+
+    # -- front-end hooks ------------------------------------------------
+    def _launch(self) -> List[threading.Thread]:
+        """Bring the scoring side up; return its (unstarted) threads."""
+        raise NotImplementedError
+
+    def _screen(self, request_id: int, pairs: Tuple[EntityPair, ...],
+                ) -> Tuple[Sequence[EntityPair], int]:
+        """Filter a request's pairs at admission: (kept, quarantined)."""
+        return pairs, 0
+
+    def _enqueue(self, request: _Request) -> None:
+        """Hand an admitted request over — or raise without having done
+        so (a counted rejection)."""
+        raise NotImplementedError
+
+    def _wake(self) -> None:
+        """Nudge the scoring side while ``close()`` drains."""
+
+    def _shutdown(self, threads: List[threading.Thread]) -> None:
+        """Stop ``threads`` and anything else ``_launch`` started."""
+        raise NotImplementedError
+
+    def _sections(self) -> Tuple[bool, Dict[str, object]]:
+        """(can serve right now, the front end's own ``stats()`` sections
+        — a ``"service"`` dict among them)."""
+        raise NotImplementedError
+
+    # -- lifecycle ------------------------------------------------------
+    def start(self) -> "RequestCore":
+        with self._submit_lock:
+            if self._started:
+                return self
+            self._started = True
+        threads = self._launch()
+        with self._submit_lock:
+            self._threads = threads
+        for thread in threads:
+            thread.start()
+        return self
+
+    def wait_ready(self, timeout: float = 120.0) -> bool:
+        """Block until the front end can serve (in-process: at once)."""
+        return True
+
+    def close(self) -> None:
+        """Stop admitting, drain every admitted request, tear down.
+
+        Draining runs with the scoring side still live, so in-flight work
+        finishes through the normal paths; a request that made it past
+        admission is always answered, even during shutdown.  The wake
+        hook runs on every poll: a submit that raced the close can hand
+        its request over *after* the scoring side consumed an earlier
+        wake (the cluster's coalesce buffer would then sit out its
+        window).  With a ``drain_timeout``, leftovers are force-answered
+        with an explicit error once it passes; nothing is ever silently
+        dropped.
+        """
+        with self._submit_lock:
+            if self._closed:
+                return
+            self._closed = True
+            threads = self._threads
+        deadline = None if self._drain_timeout is None \
+            else wall_clock() + self._drain_timeout
+        while True:
+            with self._submit_lock:
+                leftovers = list(self._requests.values())
+            if not leftovers:
+                break
+            if deadline is not None and wall_clock() >= deadline:
+                for request in leftovers:
+                    self.fail(request, "drain timeout: request abandoned")
+                break
+            self._wake()
+            time.sleep(0.005)
+        self._shutdown(threads)
+        with self._submit_lock:
+            self._threads = []
+            # A close that reaches this point answered everything it
+            # admitted: stats() reports it as gracefully drained, not
+            # unhealthy (see the "healthy" computation there).
+            self._drained = True
+
+    def __enter__(self) -> "RequestCore":
+        return self.start()
+
+    def __exit__(self, *exc) -> None:
+        self.close()
+
+    # -- admission ------------------------------------------------------
+    def submit(self, pairs: Sequence[EntityPair],
+               deadline_s: Optional[float] = None) -> PendingResponse:
+        """Admit a scoring request or reject it explicitly.
+
+        Raises :class:`ServiceClosed` after shutdown and
+        :class:`ServiceOverloaded` when the front end's bound is full.
+        Those, and any exception raised while admitting (a firewall
+        fault, say), count once as rejected (``COUNTERS.requests_shed``)
+        and propagate, so conservation stays checkable.
+        """
+        admitted = self.counters.try_admit(self._inflight_bound)
+        request: Optional[_Request] = None
+        try:
+            with self._submit_lock:
+                if self._closed:
+                    raise ServiceClosed(f"{type(self).__name__} is closed")
+                if admitted:
+                    # Registered in the same step as the closed check, so
+                    # a draining close() always waits for this request.
+                    self._next_id += 1
+                    request = self._request_type(
+                        id=self._next_id, pairs=tuple(pairs),
+                        pending=PendingResponse(self._next_id),
+                        admitted_at=wall_clock())
+                    self._requests[request.id] = request
+            if request is None:
+                raise ServiceOverloaded(
+                    f"{self._inflight_bound} requests already in flight; "
+                    f"retry with backoff")
+            pairs, request.quarantined = self._screen(request.id,
+                                                      request.pairs)
+            request.pairs = tuple(pairs)
+            if deadline_s is None:
+                deadline_s = self.config.default_deadline
+            request.admitted_at = wall_clock()
+            if deadline_s is not None:
+                request.deadline_at = request.admitted_at + deadline_s
+            self._enqueue(request)
+        except BaseException:
+            with self._submit_lock:
+                # Not live: the drain's force-answer already answered it.
+                live = request is None \
+                    or self._requests.pop(request.id, None) is not None
+                if live and admitted:  # an over-bound one counted already
+                    self.counters.record_reject()
+            if live:
+                COUNTERS.increment("requests_shed")
+            raise
+        return request.pending
+
+    # -- answering ------------------------------------------------------
+    def respond(self, request: _Request, tier: ScoringTier,
+                scores: np.ndarray, labels: np.ndarray,
+                reason: Optional[str]) -> None:
+        """Answer ``request`` with ``tier``'s scores, stamped honestly."""
+        finished = wall_clock()
+        self.finish(request, MatchResponse(
+            request_id=request.id, status="ok", tier=tier.name,
+            tier_level=tier.level, scores=scores, labels=labels,
+            degraded=tier.level > 1, degrade_reason=reason,
+            deadline_missed=(request.deadline_at is not None
+                             and finished > request.deadline_at),
+            latency=finished - request.admitted_at,
+            quarantined=request.quarantined,
+            redispatched=request.redispatched))
+
+    def fail(self, request: _Request, error: str) -> None:
+        """Answer ``request`` with an explicit error, never drop it."""
+        self.finish(request, MatchResponse(
+            request_id=request.id, status="error", tier=None,
+            tier_level=None, scores=None, labels=None, degraded=True,
+            degrade_reason="fault", latency=wall_clock() - request.admitted_at,
+            error=error, quarantined=request.quarantined,
+            redispatched=request.redispatched))
+
+    def finish(self, request: _Request, response: MatchResponse) -> None:
+        """Exactly-once answering: only the caller that pops ``request``
+        from the registry answers it (completion, failure and the drain's
+        force-answer can race during shutdown).  The pop and the count
+        are one step, so an empty registry means every answer is counted.
+        """
+        with self._submit_lock:
+            if self._requests.pop(request.id, None) is None:
+                return
+            self.counters.record_answer(response)
+        request.pending._fulfill(response)
+
+    # -- fallback -------------------------------------------------------
+    def fallback(self, key: int, pairs: List[EntityPair],
+                 expired: bool) -> Tuple[ScoringTier, np.ndarray]:
+        """The tier-2 → tier-3 walk for work tier 1 could not serve.
+
+        Work whose deadline has already passed skips the feature tier and
+        drops straight to the floor; otherwise tier 2 scores it (the
+        ``serving.tier2`` fault site, keyed by ``key``), and a tier-2
+        fault degrades to the floor, which always answers.
+        """
+        tier = self.cascade.by_level(2)
+        scores: Optional[np.ndarray] = None
+        if not expired:
+            try:
+                if fault_point("serving.tier2", request=key) == "stall":
+                    time.sleep(self.config.stall_seconds)
+                scores = tier.score(pairs)
+            except Exception:
+                scores = None
+        if scores is None:
+            tier = self.cascade.by_level(3)
+            scores = tier.score(pairs)
+        COUNTERS.increment("tier2_degradations" if tier.level == 2
+                           else "tier3_degradations")
+        return tier, scores
+
+    # -- observability --------------------------------------------------
+    def healthy(self) -> bool:
+        """Health summary: serving (the front end can score) — or
+        *gracefully closed*, i.e. shut down after answering everything it
+        admitted.  Only crash states read unhealthy."""
+        return bool(self.stats()["healthy"])
+
+    def stats(self) -> Dict[str, object]:
+        """The health/stats endpoint.
+
+        Each section comes from a *single* pass under its subsystem's
+        lock, taken sequentially in lock-hierarchy order and never
+        nested — so every section is internally consistent (its
+        conservation flags describe exactly the numbers beside them) and
+        a stats poll can never join a lock-order cycle with the threads
+        it observes.
+        """
+        with self._submit_lock:
+            closed = self._closed
+            drained = self._drained
+            open_requests = len(self._requests)
+        serving, sections = self._sections()
+        sections["service"].update(
+            queue_capacity=self.config.queue_capacity,
+            open_requests=open_requests, closed=closed)
+        requests = self.counters.snapshot()
+        recovery = COUNTERS.as_dict()
+        return {
+            # A gracefully-closed service stays healthy: closed is a
+            # state, not a failure.  Unhealthy means unable to serve
+            # while open, or a shutdown that lost requests.
+            "healthy": ((serving and not closed)
+                        or (closed and drained
+                            and bool(requests["conserved"]))),
+            "state": "closed" if closed else "running",
+            "requests": requests,
+            **sections,
+            "recovery": {key: recovery[key] for key in RECOVERY_KEYS},
+        }
+
+
+class InferenceService(RequestCore):
+    """A trained matcher behind a bounded queue and a worker pool.
 
     Use as a context manager (``with InferenceService(...) as svc``) or
-    call :meth:`start` / :meth:`close` explicitly.
+    call :meth:`start` / :meth:`close` explicitly.  Admission, answering,
+    fallback, drain and the shared stats live in :class:`RequestCore`;
+    this front end adds the queue and workers, chunked tier 1 under the
+    breaker, the firewall, the embedding store and the local blocker.
     """
 
     def __init__(self, cascade: DegradationCascade,
@@ -212,8 +522,7 @@ class InferenceService:
                  firewall: Optional[DataFirewall] = None,
                  store: Optional[EmbeddingStore] = None,
                  blocker: Optional[Blocker] = None):
-        self.cascade = cascade
-        self.config = config
+        super().__init__(cascade, config)
         #: Optional online blocker: :meth:`index_record` grows its index
         #: incrementally and :meth:`submit_query` turns one raw record into
         #: blocked candidate pairs scored through the normal cascade.  One
@@ -242,104 +551,40 @@ class InferenceService:
         self.breaker = CircuitBreaker(
             failure_threshold=config.breaker_failures,
             reset_timeout=config.breaker_reset)
-        self.counters = _ServiceCounters()
         self._queue: "queue.Queue[Optional[_Request]]" = queue.Queue(
             maxsize=config.queue_capacity)
-        self._workers: List[threading.Thread] = []
         self._model_lock = named_lock("serving.model")
-        self._submit_lock = named_lock("serving.submit")
-        self._next_id = 0
-        self._closed = False
-        self._started = False
-        self._drained = False
         matcher = cascade.tier1.matcher
         scale = getattr(matcher, "scale", None)
         self.batch_size = config.batch_size or getattr(scale, "batch_size", 32)
 
-    # -- lifecycle ------------------------------------------------------
-    def start(self) -> "InferenceService":
-        with self._submit_lock:
-            if self._started:
-                return self
-            self._started = True
-            workers = [
-                threading.Thread(target=self._worker_loop,
+    # -- core hooks -----------------------------------------------------
+    def _launch(self) -> List[threading.Thread]:
+        return [threading.Thread(target=self._worker_loop,
                                  name=f"serve-worker-{i}", daemon=True)
                 for i in range(self.config.num_workers)]
-            self._workers = workers
-        for worker in workers:
-            worker.start()
-        return self
 
-    def close(self) -> None:
-        """Stop admitting, drain every accepted request, stop the workers.
-
-        Draining before the sentinels preserves conservation: a request
-        that made it past admission is always answered, even during
-        shutdown.
-        """
-        with self._submit_lock:
-            if self._closed:
-                return
-            self._closed = True
-            workers = self._workers
-        self._queue.join()
-        for _ in workers:
+    def _shutdown(self, threads: List[threading.Thread]) -> None:
+        # The core drained every admitted request first, so the sentinels
+        # reach idle workers.
+        for _ in threads:
             self._queue.put(None)
-        for worker in workers:
+        for worker in threads:
             worker.join()
-        with self._submit_lock:
-            self._workers = []
-            # A close that reaches this point answered everything it
-            # admitted: stats() reports it as gracefully drained, not
-            # unhealthy (see the "healthy" computation there).
-            self._drained = True
 
-    def __enter__(self) -> "InferenceService":
-        return self.start()
+    def _screen(self, request_id: int, pairs: Tuple[EntityPair, ...],
+                ) -> Tuple[Sequence[EntityPair], int]:
+        if self.firewall is None:
+            return pairs, 0
+        return self.firewall.admit_pairs(pairs, source=f"request-{request_id}")
 
-    def __exit__(self, *exc) -> None:
-        self.close()
-
-    # -- admission ------------------------------------------------------
-    def submit(self, pairs: Sequence[EntityPair],
-               deadline_s: Optional[float] = None) -> PendingResponse:
-        """Admit a scoring request or reject it explicitly.
-
-        Raises :class:`ServiceOverloaded` when the bounded queue is full
-        and :class:`ServiceClosed` after shutdown; both count as rejected
-        (``COUNTERS.requests_shed``) so conservation stays checkable.
-        """
-        self.counters.record_submit()
-        with self._submit_lock:
-            if self._closed:
-                self.counters.record_reject()
-                COUNTERS.increment("requests_shed")
-                raise ServiceClosed("service is closed")
-            self._next_id += 1
-            request_id = self._next_id
-        if deadline_s is None:
-            deadline_s = self.config.default_deadline
-        quarantined = 0
-        if self.firewall is not None:
-            accepted, quarantined = self.firewall.admit_pairs(
-                pairs, source=f"request-{request_id}")
-            pairs = accepted
-        now = wall_clock()
-        pending = PendingResponse(request_id)
-        request = _Request(
-            id=request_id, pairs=tuple(pairs), admitted_at=now,
-            deadline_at=None if deadline_s is None else now + deadline_s,
-            pending=pending, quarantined=quarantined)
+    def _enqueue(self, request: _Request) -> None:
         try:
             self._queue.put_nowait(request)
         except queue.Full:
-            self.counters.record_reject()
-            COUNTERS.increment("requests_shed")
             raise ServiceOverloaded(
                 f"request queue full ({self.config.queue_capacity} waiting); "
                 f"retry with backoff") from None
-        return pending
 
     # -- online blocking ------------------------------------------------
     def index_record(self, record: Entity) -> int:
@@ -382,39 +627,22 @@ class InferenceService:
     def _worker_loop(self) -> None:
         while True:
             request = self._queue.get()
-            # task_done() must run even if answering raises: close() joins
-            # the queue before sending sentinels, so one swallowed
-            # task_done would leave shutdown blocked on join() forever.
+            if request is None:
+                return
             try:
-                if request is None:
-                    return
-                try:
-                    response = self._process(request)
-                except BaseException as exc:  # the floor tier failed: answer
-                    response = MatchResponse(  # explicitly, never drop silently
-                        request_id=request.id, status="error", tier=None,
-                        tier_level=None, scores=None, labels=None,
-                        degraded=True, degrade_reason="fault",
-                        latency=wall_clock() - request.admitted_at,
-                        error=f"{type(exc).__name__}: {exc}",
-                        quarantined=request.quarantined)
-                self.counters.record_answer(response)
-                request.pending._fulfill(response)
-            finally:
-                self._queue.task_done()
+                self._process(request)
+            except BaseException as exc:  # the floor tier failed: answer
+                # explicitly, never drop silently (a no-op if answered).
+                self.fail(request, f"{type(exc).__name__}: {exc}")
 
-    def _expired(self, request: _Request) -> bool:
-        return request.deadline_at is not None \
-            and wall_clock() >= request.deadline_at
-
-    def _process(self, request: _Request) -> MatchResponse:
+    def _process(self, request: _Request) -> None:
         reason: Optional[str] = None
         tier = self.cascade.tier1
         scores: Optional[np.ndarray] = None
         monitor = self.firewall.monitor if self.firewall is not None else None
 
         # Checkpoint: between admission and tier-1 work.
-        if self._expired(request):
+        if request.expired():
             reason = "deadline"
         elif (monitor is not None and self.config.drift_force_tier2
                 and monitor.forcing):
@@ -435,41 +663,16 @@ class InferenceService:
                 reason = "fault"
 
         if scores is None:
-            # Checkpoint: between tier-1 abandonment and tier-2 work.  A
-            # request whose deadline has already passed skips the feature
-            # tier too and drops straight to the floor.
-            tier = self.cascade.by_level(2)
-            if not self._expired(request):
-                try:
-                    scores = self._score_tier2(request, tier)
-                except Exception:
-                    reason = reason or "fault"
-            if scores is None:
-                reason = reason or "deadline"
-                tier = self.cascade.by_level(3)
-                scores = tier.score(list(request.pairs))
-
-        if tier.level == 2:
-            COUNTERS.increment("tier2_degradations")
-        elif tier.level == 3:
-            COUNTERS.increment("tier3_degradations")
-        elif monitor is not None and scores is not None and len(scores):
+            # Checkpoint: between tier-1 abandonment and tier-2 work.
+            tier, scores = self.fallback(request.id, list(request.pairs),
+                                         expired=request.expired())
+        elif monitor is not None and len(scores):
             # Only genuine tier-1 scores feed the score-shift monitor:
             # fallback-tier scores come from different models and would
             # read as drift of the model rather than of the traffic.
             monitor.observe_scores(scores)
-        labels = tier.predict(scores)
-        finished = wall_clock()
-        return MatchResponse(
-            request_id=request.id, status="ok", tier=tier.name,
-            tier_level=tier.level, scores=scores, labels=labels,
-            degraded=tier.level > 1, degrade_reason=reason,
-            deadline_missed=(request.deadline_at is not None
-                             and finished > request.deadline_at),
-            latency=finished - request.admitted_at,
-            quarantined=request.quarantined)
+        self.respond(request, tier, scores, tier.predict(scores), reason)
 
-    # -- tier scoring ---------------------------------------------------
     def _score_tier1(self, request: _Request) -> np.ndarray:
         """Chunked tier-1 scoring with deadline checkpoints between chunks.
 
@@ -483,7 +686,7 @@ class InferenceService:
         pairs = request.pairs
         chunks: List[np.ndarray] = []
         for start in range(0, len(pairs), self.batch_size):
-            if self._expired(request):
+            if request.expired():
                 raise _DeadlinePressure
             chunk = list(pairs[start:start + self.batch_size])
 
@@ -504,44 +707,13 @@ class InferenceService:
             return np.zeros(0, dtype=np.float64)
         return np.concatenate(chunks)
 
-    def _score_tier2(self, request: _Request, tier: ScoringTier) -> np.ndarray:
-        kind = fault_point("serving.tier2", request=request.id)
-        if kind == "stall":
-            time.sleep(self.config.stall_seconds)
-        return tier.score(list(request.pairs))
-
     # -- observability --------------------------------------------------
-    def healthy(self) -> bool:
-        """Health summary: serving with the breaker not open — or *gracefully
-        closed*, i.e. shut down after answering everything it admitted.
-        Only crash states (open breaker while serving, or a close that lost
-        requests) read unhealthy."""
-        return bool(self.stats()["healthy"])
-
-    def stats(self) -> Dict[str, object]:
-        """The health/stats endpoint: conservation counters, breaker state,
-        queue depth, and the perf layer's cache counters in one snapshot.
-
-        Each subsystem's section comes from a *single* pass under that
-        subsystem's lock (snapshot methods that read every field at once),
-        taken sequentially in lock-hierarchy order and never nested — so
-        every section is internally consistent (its conservation flags
-        describe exactly the numbers beside them) and a stats poll can
-        never participate in a lock-order cycle with the worker pool.
-        """
+    def _sections(self) -> Tuple[bool, Dict[str, object]]:
+        """Queue depth, blocking tallies, breaker, firewall, store and the
+        perf layer's cache counters; serving while the breaker is not
+        open."""
         from repro import perf
 
-        # serving.submit: lifecycle + queue.
-        with self._submit_lock:
-            closed = self._closed
-            drained = self._drained
-            service = {
-                "queue_capacity": self.config.queue_capacity,
-                "queue_depth": self._queue.qsize(),
-                "workers": self.config.num_workers,
-                "batch_size": self.batch_size,
-                "closed": closed,
-            }
         # serving.blocker: online blocking tallies.
         blocking: Optional[Dict[str, object]] = None
         if self.blocker is not None:
@@ -570,33 +742,19 @@ class InferenceService:
                 "drift": (self.firewall.monitor.stats()
                           if self.firewall.monitor is not None else None),
             }
-        # serving.counters: request conservation in one snapshot().
-        requests = self.counters.snapshot()
-        # reliability.counters: recovery tallies in one as_dict().
-        recovery = COUNTERS.as_dict()
         store_stats: Optional[Dict[str, object]] = None
         tier1 = self.cascade.tier1.matcher
         if isinstance(tier1, StoreBackedScorer):
             store_stats = tier1.stats()
-        return {
-            # A gracefully-closed service stays healthy: closed is a state,
-            # not a failure.  Unhealthy means an open breaker while serving
-            # or a shutdown that lost requests (conservation broken).
-            "healthy": ((not closed and breaker["state"] != OPEN)
-                        or (closed and drained
-                            and bool(requests["conserved"]))),
-            "state": "closed" if closed else "running",
-            "service": service,
-            "requests": requests,
+        return breaker["state"] != OPEN, {
+            "service": {
+                "queue_depth": self._queue.qsize(),
+                "workers": self.config.num_workers,
+                "batch_size": self.batch_size,
+            },
             "breaker": breaker,
             "caches": perf.cache_stats(),
             "firewall": firewall,
             "store": store_stats,
             "blocking": blocking,
-            "recovery": {key: recovery[key] for key in (
-                "transient_retries", "cache_degraded", "breaker_trips",
-                "requests_shed", "tier2_degradations", "tier3_degradations",
-                "records_quarantined", "records_replayed", "drift_flags",
-                "drift_forced_degradations", "store_corrupt_shards",
-                "store_build_discards", "blocking_index_rebuilds")},
         }

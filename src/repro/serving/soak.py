@@ -1,7 +1,8 @@
 """Chaos-soak harness: concurrent clients + fault injection + invariants.
 
-Drives real traffic through a live :class:`InferenceService` from several
-client threads while a PR-2 :class:`FaultPlan` injects transient IO faults,
+Drives real traffic through a live :class:`InferenceService` or
+:class:`ClusterService` (one soak loop for both) from several client
+threads while a :class:`FaultPlan` injects transient IO faults,
 poisoned cache entries, and slow-call stalls at the registered
 ``fault_point`` sites, then checks the two serving invariants:
 
@@ -23,12 +24,13 @@ same pair batches in the same per-client order.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import os
 import signal
 import threading
 import time
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -39,6 +41,7 @@ from repro.serving.cluster import ClusterConfig, ClusterService
 from repro.serving.service import (
     InferenceService,
     MatchResponse,
+    RequestCore,
     ServiceClosed,
     ServiceOverloaded,
     ServingConfig,
@@ -147,7 +150,7 @@ def _latency_stats(latencies: Sequence[float]) -> Dict[str, float]:
     }
 
 
-def _client(service: InferenceService, batches: Sequence[Tuple[EntityPair, ...]],
+def _client(service: RequestCore, batches: Sequence[Tuple[EntityPair, ...]],
             deadline_s: Optional[float],
             out: List[Tuple[Tuple[EntityPair, ...], "object"]],
             rejections: List[int]) -> None:
@@ -161,35 +164,23 @@ def _client(service: InferenceService, batches: Sequence[Tuple[EntityPair, ...]]
         out.append((batch, pending))
 
 
-def run_soak(cascade: DegradationCascade, pairs: Sequence[EntityPair],
-             config: ServingConfig = ServingConfig(),
-             plan: Optional[FaultPlan] = None,
-             n_clients: int = 4, requests_per_client: int = 8,
-             pairs_per_request: int = 8,
-             deadline_s: Optional[float] = None,
-             seed: int = 0,
-             firewall=None,
-             store=None,
-             lockcheck: Optional[bool] = None) -> SoakReport:
-    """Run the chaos soak and return the measured/asserted report.
+def _drive(make_service: Callable[[], RequestCore],
+           pairs: Sequence[EntityPair], plan: Optional[FaultPlan],
+           n_clients: int, requests_per_client: int, pairs_per_request: int,
+           deadline_s: Optional[float], seed: int, lockcheck: Optional[bool],
+           kill: Optional["ReplicaKill"] = None,
+           ) -> Tuple[Dict[str, object], Dict[str, object]]:
+    """The soak loop behind :func:`run_soak` and :func:`run_cluster_soak`.
 
-    ``plan=None`` runs clean traffic (the latency baseline);
-    :func:`default_chaos_plan` is the standard fault mix.  The tier-1
-    offline parity reference is computed *after* the service closes, on
-    the caller's thread, with the same single-call path ``predict`` uses.
-    ``firewall`` (a :class:`~repro.guard.firewall.DataFirewall`) routes
-    every request's pairs through validation at submit; parity is then
-    only asserted for responses with nothing quarantined (the offline
-    reference scores the raw batch).
-    ``store`` (a :class:`~repro.store.embedstore.EmbeddingStore`) puts the
-    embedding store in front of tier 1; the offline parity reference is
-    read after the service wraps the tier, so parity covers the
-    store-backed path itself.
-    ``lockcheck`` turns the runtime lock-order sanitizer on for the soak
-    (per-thread order assertion + unguarded-write watches on the shared
-    classes); ``None`` defers to ``REPRO_LOCKCHECK`` / an already-active
-    checker.  The report lands in :attr:`SoakReport.lockcheck` and any
-    violation fails :attr:`SoakReport.ok`.
+    Pre-draws every client's batches, builds the service under the
+    sanitizer's watches, drives the clients (plus the ``kill`` thread)
+    and tallies conservation, bitwise tier-1 parity and latency.  The
+    parity reference is the service's own tier-1 scorer, read after the
+    run, so it covers whatever wrapping the service put on the tier (the
+    store, the cluster's fixed pad width).  The clock starts once the
+    service reports ready: throughput is steady-state serving, not
+    start-up.  Returns the :class:`SoakReport` fields and the
+    cluster-only ones.
     """
     rng = np.random.default_rng(seed)
     pool = list(pairs)
@@ -205,32 +196,31 @@ def run_soak(cascade: DegradationCascade, pairs: Sequence[EntityPair],
             batches.append(tuple(pool[start:start + pairs_per_request]))
         client_batches.append(batches)
 
-    checker = None
-    owns_checker = False
-    restore_watches = None
-    if lockcheck is None or lockcheck:
-        from repro.analysis import lockcheck as lc_mod
-
-        if lockcheck is None:
-            lockcheck = lc_mod.env_requested() or lc_mod.active() is not None
-        if lockcheck:
-            checker = lc_mod.active()
-            if checker is None:
-                checker = lc_mod.enable()
-                owns_checker = True
-            restore_watches = lc_mod.install_watches()
-
-    service = InferenceService(cascade, config, firewall=firewall, store=store)
     answered: List[List[Tuple[Tuple[EntityPair, ...], object]]] = \
         [[] for _ in range(n_clients)]
     rejections: List[List[int]] = [[] for _ in range(n_clients)]
+    kill_outcome: Dict[str, object] = {}
+    checker = None
+    # Unwinds in reverse: the fault plan, then the watches, then the
+    # sanitizer (if this soak turned it on).
+    with contextlib.ExitStack() as stack:
+        if lockcheck is None or lockcheck:
+            from repro.analysis import lockcheck as lc_mod
 
-    started = wall_clock()
-    plan_ctx = inject(plan) if plan is not None else None
-    try:
-        if plan_ctx is not None:
-            plan_ctx.__enter__()
+            if lockcheck is None:
+                lockcheck = lc_mod.env_requested() or lc_mod.active() is not None
+            if lockcheck:
+                checker = lc_mod.active()
+                if checker is None:
+                    checker = lc_mod.enable()
+                    stack.callback(lc_mod.disable)
+                stack.callback(lc_mod.install_watches())
+        service = make_service()
+        if plan is not None:
+            stack.enter_context(inject(plan))
         with service:
+            service.wait_ready()
+            started = wall_clock()
             threads = [
                 threading.Thread(
                     target=_client,
@@ -239,6 +229,10 @@ def run_soak(cascade: DegradationCascade, pairs: Sequence[EntityPair],
                     name=f"soak-client-{i}")
                 for i in range(n_clients)
             ]
+            if kill is not None:
+                threads.append(threading.Thread(
+                    target=_killer, args=(service, kill, kill_outcome),
+                    name="soak-killer"))
             for thread in threads:
                 thread.start()
             for thread in threads:
@@ -247,16 +241,7 @@ def run_soak(cascade: DegradationCascade, pairs: Sequence[EntityPair],
             for client_out in answered:
                 for batch, pending in client_out:
                     responses.append((batch, pending.result(timeout=120.0)))
-    finally:
-        if plan_ctx is not None:
-            plan_ctx.__exit__(None, None, None)
-        if restore_watches is not None:
-            restore_watches()
-        if owns_checker:
-            from repro.analysis import lockcheck as lc_mod
-
-            lc_mod.disable()
-    duration = wall_clock() - started
+            duration = wall_clock() - started
 
     # -- invariants -----------------------------------------------------
     n_rejected = sum(len(r) for r in rejections)
@@ -269,13 +254,21 @@ def run_soak(cascade: DegradationCascade, pairs: Sequence[EntityPair],
         and snapshot["rejected"] == n_rejected
     )
 
+    # Parity is only asserted for responses with nothing quarantined: the
+    # offline reference scores the raw batch.
     parity = True
     parity_checked = 0
-    offline = cascade.tier1.matcher
+    redispatched = 0
+    redispatch_checked = 0
+    offline = service.cascade.tier1.matcher
     for batch, response in responses:
+        if response.redispatched:
+            redispatched += 1
         if response.tier_level != 1 or response.quarantined:
             continue
         parity_checked += 1
+        if response.redispatched:
+            redispatch_checked += 1
         reference = offline.scores(list(batch))
         if not np.array_equal(response.scores, reference):
             parity = False
@@ -289,12 +282,18 @@ def run_soak(cascade: DegradationCascade, pairs: Sequence[EntityPair],
         latencies.setdefault(tier, []).append(response.latency)
         latencies["all"].append(response.latency)
 
-    faults = {}
+    stats = service.stats()
+    faults: Dict[str, int] = {}
     if plan is not None:
         faults = {f"{site}:{kind}": count
                   for (site, kind), count in sorted(plan.triggered.items())}
+    # Replica processes fire their own plans; their tallies ride home on
+    # the graceful stop.
+    for info in stats.get("replica_table", {}).values():
+        for key, count in info["faults_fired"].items():
+            faults[key] = faults.get(key, 0) + count
 
-    return SoakReport(
+    report = dict(
         duration=duration,
         submitted=n_submitted,
         answered=len(responses),
@@ -307,9 +306,49 @@ def run_soak(cascade: DegradationCascade, pairs: Sequence[EntityPair],
         latency={tier: _latency_stats(vals)
                  for tier, vals in sorted(latencies.items())},
         faults_triggered=faults,
-        service_stats=service.stats(),
+        service_stats=stats,
         lockcheck=checker.report() if checker is not None else None,
     )
+    cluster = dict(redispatched_responses=redispatched,
+                   redispatch_parity_checked=redispatch_checked,
+                   kill=kill_outcome or None)
+    return report, cluster
+
+
+def run_soak(cascade: DegradationCascade, pairs: Sequence[EntityPair],
+             config: ServingConfig = ServingConfig(),
+             plan: Optional[FaultPlan] = None,
+             n_clients: int = 4, requests_per_client: int = 8,
+             pairs_per_request: int = 8,
+             deadline_s: Optional[float] = None,
+             seed: int = 0,
+             firewall=None,
+             store=None,
+             lockcheck: Optional[bool] = None) -> SoakReport:
+    """Run the chaos soak and return the measured/asserted report.
+
+    ``plan=None`` runs clean traffic (the latency baseline);
+    :func:`default_chaos_plan` is the standard fault mix.
+    ``firewall`` (a :class:`~repro.guard.firewall.DataFirewall`) routes
+    every request's pairs through validation at submit; parity is then
+    only asserted for responses with nothing quarantined (the offline
+    reference scores the raw batch).
+    ``store`` (a :class:`~repro.store.embedstore.EmbeddingStore`) puts the
+    embedding store in front of tier 1; the offline parity reference is
+    read after the service wraps the tier, so parity covers the
+    store-backed path itself.
+    ``lockcheck`` turns the runtime lock-order sanitizer on for the soak
+    (per-thread order assertion + unguarded-write watches on the shared
+    classes); ``None`` defers to ``REPRO_LOCKCHECK`` / an already-active
+    checker.  The report lands in :attr:`SoakReport.lockcheck` and any
+    violation fails :attr:`SoakReport.ok`.
+    """
+    report, _ = _drive(
+        lambda: InferenceService(cascade, config, firewall=firewall,
+                                 store=store),
+        pairs, plan, n_clients, requests_per_client, pairs_per_request,
+        deadline_s, seed, lockcheck)
+    return SoakReport(**report)
 
 
 # ======================================================================
@@ -437,148 +476,13 @@ def run_cluster_soak(cascade: DegradationCascade,
     the cluster-only ones the report carries: redispatched responses are
     parity-checked like any other, and ``kill`` SIGKILLs a replica
     mid-soak to prove conservation and parity hold *across a crash*.
-
-    The clock starts after every replica reports ready, so throughput
-    measures steady-state serving rather than process spawn + model
-    unpickling.
+    The clock starts after every replica reports ready.
     """
-    rng = np.random.default_rng(seed)
-    pool = list(pairs)
-    if not pool:
-        raise ValueError("cannot soak with an empty pair pool")
     config = config or ClusterConfig()
-
-    client_batches: List[List[Tuple[EntityPair, ...]]] = []
-    for _ in range(n_clients):
-        batches = []
-        for _ in range(requests_per_client):
-            start = int(rng.integers(0, max(len(pool) - pairs_per_request, 0) + 1))
-            batches.append(tuple(pool[start:start + pairs_per_request]))
-        client_batches.append(batches)
-
-    checker = None
-    owns_checker = False
-    restore_watches = None
-    if lockcheck is None or lockcheck:
-        from repro.analysis import lockcheck as lc_mod
-
-        if lockcheck is None:
-            lockcheck = lc_mod.env_requested() or lc_mod.active() is not None
-        if lockcheck:
-            checker = lc_mod.active()
-            if checker is None:
-                checker = lc_mod.enable()
-                owns_checker = True
-            restore_watches = lc_mod.install_watches()
-
-    service = ClusterService(cascade, config,
-                             blocker_factory=blocker_factory,
-                             store_path=store_path)
-    answered: List[List[Tuple[Tuple[EntityPair, ...], object]]] = \
-        [[] for _ in range(n_clients)]
-    rejections: List[List[int]] = [[] for _ in range(n_clients)]
-    kill_outcome: Dict[str, object] = {}
-
-    plan_ctx = inject(plan) if plan is not None else None
-    try:
-        if plan_ctx is not None:
-            plan_ctx.__enter__()
-        with service:
-            service.wait_ready()
-            started = wall_clock()
-            threads = [
-                threading.Thread(
-                    target=_client,
-                    args=(service, client_batches[i], deadline_s,
-                          answered[i], rejections[i]),
-                    name=f"soak-client-{i}")
-                for i in range(n_clients)
-            ]
-            if kill is not None:
-                threads.append(threading.Thread(
-                    target=_killer, args=(service, kill, kill_outcome),
-                    name="soak-killer"))
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join()
-            responses: List[Tuple[Tuple[EntityPair, ...], MatchResponse]] = []
-            for client_out in answered:
-                for batch, pending in client_out:
-                    responses.append((batch, pending.result(timeout=120.0)))
-            duration = wall_clock() - started
-    finally:
-        if plan_ctx is not None:
-            plan_ctx.__exit__(None, None, None)
-        if restore_watches is not None:
-            restore_watches()
-        if owns_checker:
-            from repro.analysis import lockcheck as lc_mod
-
-            lc_mod.disable()
-
-    # -- invariants -----------------------------------------------------
-    n_rejected = sum(len(r) for r in rejections)
-    n_submitted = n_rejected + len(responses)
-    snapshot = service.counters.snapshot()
-    conserved = (
-        snapshot["conserved"]
-        and snapshot["submitted"] == n_submitted
-        and snapshot["answered"] == len(responses)
-        and snapshot["rejected"] == n_rejected
-    )
-
-    parity = True
-    parity_checked = 0
-    redispatched = 0
-    redispatch_checked = 0
-    offline = cascade.tier1.matcher
-    for batch, response in responses:
-        if response.redispatched:
-            redispatched += 1
-        if response.tier_level != 1:
-            continue
-        parity_checked += 1
-        if response.redispatched:
-            redispatch_checked += 1
-        reference = offline.scores(list(batch))
-        if not np.array_equal(response.scores, reference):
-            parity = False
-
-    # -- metrics --------------------------------------------------------
-    by_tier: Dict[str, int] = {}
-    latencies: Dict[str, List[float]] = {"all": []}
-    for _, response in responses:
-        tier = response.tier or "error"
-        by_tier[tier] = by_tier.get(tier, 0) + 1
-        latencies.setdefault(tier, []).append(response.latency)
-        latencies["all"].append(response.latency)
-
-    stats = service.stats()
-    faults: Dict[str, int] = {}
-    if plan is not None:
-        faults = {f"{site}:{kind}": count
-                  for (site, kind), count in sorted(plan.triggered.items())}
-    for info in stats["replica_table"].values():
-        for key, count in info["faults_fired"].items():
-            faults[key] = faults.get(key, 0) + count
-
-    return ClusterSoakReport(
-        duration=duration,
-        submitted=n_submitted,
-        answered=len(responses),
-        rejected=n_rejected,
-        conserved=bool(conserved),
-        tier1_parity=parity,
-        parity_checked=parity_checked,
-        by_tier=by_tier,
-        throughput=len(responses) / duration if duration > 0 else 0.0,
-        latency={tier: _latency_stats(vals)
-                 for tier, vals in sorted(latencies.items())},
-        faults_triggered=faults,
-        service_stats=stats,
-        lockcheck=checker.report() if checker is not None else None,
-        redispatched_responses=redispatched,
-        redispatch_parity_checked=redispatch_checked,
-        kill=kill_outcome or None,
-    )
+    report, cluster = _drive(
+        lambda: ClusterService(cascade, config,
+                               blocker_factory=blocker_factory,
+                               store_path=store_path),
+        pairs, plan, n_clients, requests_per_client, pairs_per_request,
+        deadline_s, seed, lockcheck, kill=kill)
+    return ClusterSoakReport(**report, **cluster)

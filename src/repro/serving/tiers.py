@@ -107,13 +107,6 @@ class DegradationCascade:
     def tier1(self) -> ScoringTier:
         return self.tiers[0]
 
-    def below(self, level: int) -> Optional[ScoringTier]:
-        """The next tier after ``level``, or ``None`` at the floor."""
-        for tier in self.tiers:
-            if tier.level > level:
-                return tier
-        return None
-
     def by_level(self, level: int) -> ScoringTier:
         for tier in self.tiers:
             if tier.level == level:

@@ -711,14 +711,14 @@ class TestLockCheck:
         assert len(check.report()["unguarded_writes"]) == 1
 
     def test_install_watches_roundtrip(self):
-        from repro.serving.service import _ServiceCounters
+        from repro.serving.service import _RequestCounters
 
         lc.enable()
-        original = _ServiceCounters.__setattr__
+        original = _RequestCounters.__setattr__
         uninstall = lc.install_watches()
-        assert _ServiceCounters.__setattr__ is not original
+        assert _RequestCounters.__setattr__ is not original
         uninstall()
-        assert _ServiceCounters.__setattr__ is original
+        assert _RequestCounters.__setattr__ is original
 
 
 # ======================================================================

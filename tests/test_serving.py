@@ -45,7 +45,6 @@ from repro.serving import (
     DegradationCascade,
     InferenceService,
     ScoringTier,
-    ServiceClosed,
     ServiceOverloaded,
     ServingConfig,
     TfidfMatcher,
@@ -244,6 +243,9 @@ class TestCircuitBreaker:
 # Tentpole: the inference service
 # ======================================================================
 class TestAdmissionControl:
+    # Contracts both front ends share (closed rejection, deadline floor,
+    # drain after a bookkeeping crash) are in test_serving_cluster.py's
+    # TestFrontEndContract, run against each service.
     def test_full_queue_rejects_and_conserves(self):
         shed_before = COUNTERS.as_dict()["requests_shed"]
         cascade = _stub_cascade(tier1_delay=0.02)
@@ -265,13 +267,30 @@ class TestAdmissionControl:
         assert snapshot["rejected"] == rejected
         assert COUNTERS.as_dict()["requests_shed"] == shed_before + rejected
 
-    def test_closed_service_rejects_explicitly(self):
-        service = InferenceService(_stub_cascade(), ServingConfig(num_workers=1))
-        service.start()
+    def test_firewall_fault_at_admission_is_a_counted_rejection(self):
+        """A firewall exception that exhausts its retry budget at submit
+        is counted rejected and re-raised: never a request counted
+        submitted but neither answered nor rejected."""
+        from repro.guard import DataFirewall
+        from repro.reliability import TransientIOFault
+
+        shed_before = COUNTERS.as_dict()["requests_shed"]
+        firewall = DataFirewall(retry_policy=RetryPolicy(
+            retries=1, base_delay=0, max_delay=0))
+        plan = FaultPlan((FaultSpec("guard.validate", "transient",
+                                    at=(0, 1)),))
+        service = InferenceService(_stub_cascade(),
+                                   ServingConfig(num_workers=1),
+                                   firewall=firewall).start()
+        with inject(plan):
+            with pytest.raises(TransientIOFault):
+                service.submit(PAIRS[:1])
         service.close()
-        with pytest.raises(ServiceClosed):
-            service.submit(PAIRS[:1])
-        assert service.counters.snapshot()["conserved"]
+        snapshot = service.counters.snapshot()
+        assert snapshot["conserved"] and snapshot["in_flight"] == 0
+        assert snapshot["submitted"] == snapshot["rejected"] == 1
+        assert COUNTERS.as_dict()["requests_shed"] == shed_before + 1
+        assert service.stats()["healthy"]
 
     def test_close_drains_accepted_requests(self):
         cascade = _stub_cascade(tier1_delay=0.01)
@@ -282,25 +301,6 @@ class TestAdmissionControl:
         # close() ran on __exit__; every accepted request must be answered
         assert all(h.done() for h in handles)
         assert service.counters.snapshot()["in_flight"] == 0
-
-    def test_worker_crash_after_scoring_does_not_deadlock_close(self, monkeypatch):
-        """Regression: ``task_done`` must run even when post-answer
-        bookkeeping raises, or ``close()`` blocks forever on
-        ``queue.join()`` with the request forever in flight."""
-        from repro.serving.service import _ServiceCounters
-
-        service = InferenceService(_stub_cascade(),
-                                   ServingConfig(num_workers=1)).start()
-
-        def boom(self, response):
-            raise RuntimeError("bookkeeping crash after scoring")
-
-        monkeypatch.setattr(_ServiceCounters, "record_answer", boom)
-        service.submit(PAIRS[:1])
-        closer = threading.Thread(target=service.close, name="closer")
-        closer.start()
-        closer.join(timeout=10.0)
-        assert not closer.is_alive(), "close() deadlocked on queue.join()"
 
 
 class TestStatsSnapshotConsistency:
@@ -364,16 +364,6 @@ class TestStatsSnapshotConsistency:
 
 
 class TestDegradationCascade:
-    def test_expired_deadline_falls_to_floor_with_reason(self):
-        with InferenceService(_stub_cascade(),
-                              ServingConfig(num_workers=1,
-                                            retry=FAST_RETRY)) as service:
-            response = service.submit(PAIRS[:3], deadline_s=0.0).result(5.0)
-        assert response.tier == "tfidf" and response.tier_level == 3
-        assert response.degraded and response.degrade_reason == "deadline"
-        assert response.deadline_missed
-        assert np.allclose(response.scores, 0.3)  # the floor tier answered
-
     def test_deadline_checkpoint_between_tier1_chunks(self):
         # 3 chunks x 30ms against a 40ms deadline: chunk 2's checkpoint
         # fires mid-request and the features tier answers instead.

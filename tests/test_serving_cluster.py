@@ -17,7 +17,11 @@ Covers the contracts documented in ``docs/SERVING.md``:
   record each step;
 * **sharded online blocking** — ``index_record`` routes records by the
   ring, ``submit_query`` merges live shards deterministically, and a
-  rebuilt shard answers queries again after the crash.
+  rebuilt shard answers queries again after the crash;
+* **the shared request core** — ``TestFrontEndContract`` runs the
+  contracts both front ends get from ``RequestCore`` (closed rejection,
+  the deadline floor, drain after a bookkeeping crash) against
+  ``InferenceService`` and ``ClusterService`` alike.
 
 Everything cross-process in this file must be picklable and importable
 from a spawned child, so the stand-ins live at module level.
@@ -38,7 +42,7 @@ import pytest
 from repro.config import Scale, set_scale
 from repro.data.schema import Entity, EntityPair
 from repro.matchers.base import Matcher
-from repro.reliability import COUNTERS, FaultSpec
+from repro.reliability import COUNTERS, FaultSpec, RetryPolicy
 from repro.serving import (
     ClusterConfig,
     ClusterService,
@@ -46,6 +50,7 @@ from repro.serving import (
     InferenceService,
     MAX_PAD_WIDTH,
     ReplicaKill,
+    ServiceClosed,
     ServingConfig,
     build_cascade,
     default_cluster_chaos_plan,
@@ -54,6 +59,7 @@ from repro.serving import (
     run_cluster_soak,
 )
 from repro.serving.cluster import pair_width
+from repro.serving.service import _RequestCounters
 from repro.serving.tiers import DegradationCascade, ScoringTier
 from repro.store.scorer import StoreBackedScorer
 
@@ -153,6 +159,64 @@ def _fast_config(**overrides) -> ClusterConfig:
                     spawn_grace=60.0, stall_seconds=0.02)
     defaults.update(overrides)
     return ClusterConfig(**defaults)
+
+
+# ======================================================================
+# The front-end contract: what RequestCore gives both services
+# ======================================================================
+#: Fast retries so the in-process service doesn't sleep through backoff.
+FAST_RETRY = RetryPolicy(retries=1, base_delay=0.0, max_delay=0.0)
+
+FRONT_ENDS = {
+    "inference": lambda config: InferenceService(
+        _stub_cascade(), ServingConfig(**config, retry=FAST_RETRY)),
+    "cluster": lambda config: ClusterService(
+        _stub_cascade(), _fast_config(replicas=1)),
+}
+
+
+@pytest.fixture(params=sorted(FRONT_ENDS))
+def front_end(request):
+    """Build one service per front end; ``config`` only reaches the
+    in-process one (the cluster runs one replica)."""
+    return FRONT_ENDS[request.param]
+
+
+class TestFrontEndContract:
+    def test_closed_service_rejects_explicitly(self, front_end):
+        service = front_end(dict(num_workers=1))
+        service.start()
+        service.close()
+        with pytest.raises(ServiceClosed):
+            service.submit(PAIRS[:1])
+        assert service.counters.snapshot()["conserved"]
+
+    def test_expired_deadline_falls_to_floor_with_reason(self, front_end):
+        with front_end(dict(num_workers=1)) as service:
+            response = service.submit(PAIRS[:3], deadline_s=0.0).result(5.0)
+            floor = service.cascade.by_level(3).score(list(PAIRS[:3]))
+        assert response.tier == "tfidf" and response.tier_level == 3
+        assert response.degraded and response.degrade_reason == "deadline"
+        assert response.deadline_missed
+        assert np.allclose(response.scores, floor)  # the floor tier answered
+
+    def test_worker_crash_after_scoring_does_not_deadlock_close(
+            self, front_end, monkeypatch):
+        """Regression: post-answer bookkeeping that raises must not leave
+        the request open, or ``close()`` waits on it forever (the
+        in-process service) or until the drain timeout (the cluster)."""
+        service = front_end(dict(num_workers=1)).start()
+        assert service.wait_ready(60.0)
+
+        def boom(self, response):
+            raise RuntimeError("bookkeeping crash after scoring")
+
+        monkeypatch.setattr(_RequestCounters, "record_answer", boom)
+        service.submit(PAIRS[:1])
+        closer = threading.Thread(target=service.close, name="closer")
+        closer.start()
+        closer.join(timeout=10.0)
+        assert not closer.is_alive(), "close() deadlocked draining the request"
 
 
 # ======================================================================
