@@ -66,12 +66,12 @@ check:
 		-q -m "not slow"
 	PYTHONPATH=src $(PYTHON) tools/cov.py --package resolve --min 90 \
 		tests/test_resolve.py -q -m "not slow"
-	$(PYTHON) -m repro profile --dataset Beer --fast --perf full --top 5
+	$(PYTHON) -m repro profile --dataset Beer --fast --top 5
 
 bench:
 	$(PYTHON) -m pytest benchmarks/ --benchmark-only -s
 
-# Performance-layer benchmark: cached/fused vs uncached plus the
+# Performance-layer benchmark: cached vs uncached (identical F1 tables) plus the
 # embedding-store serving mode (float32 parity + int8 ΔF1 + ≥10x gates),
 # writes BENCH_perf.json.
 bench-perf:

@@ -166,9 +166,7 @@ def cmd_profile(args) -> int:
 
     if args.perf == "off":
         perf.disable()
-    elif args.perf == "full":
-        perf.enable()
-    # "default" leaves the session config (cache on, fused off) untouched.
+    # "default" leaves the session config (caches on) untouched.
 
     use_store = args.store != "off"
     if use_store and args.matcher != "hiergat":
@@ -698,9 +696,10 @@ def build_parser() -> argparse.ArgumentParser:
     profile.add_argument("--matcher", choices=MATCHER_CHOICES, default="hiergat")
     profile.add_argument("--dirty", action="store_true")
     profile.add_argument("--top", type=int, default=10, help="ops to show")
-    profile.add_argument("--perf", choices=("default", "off", "full"),
+    profile.add_argument("--perf", choices=("default", "off"),
                          default="default",
-                         help="performance-layer switches during the run")
+                         help="encoding caches during the run (off: "
+                              "the uncached baseline)")
     profile.add_argument("--fast", action="store_true", help="tiny CI scale")
     profile.add_argument("--store", choices=("off", "float32", "float16", "int8"),
                          default="off",

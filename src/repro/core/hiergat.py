@@ -70,64 +70,26 @@ class HierGATNetwork(Module):
 
         ``slot_inputs`` is a list over the K attribute slots of
         ``((left_ids, left_mask), (right_ids, right_mask))`` padded batches.
-        """
-        from repro import perf
-
-        if perf.fused_enabled():
-            return self._forward_fused(slot_inputs)
-        similarities: List[Tensor] = []
-        left_attrs: List[Tensor] = []
-        right_attrs: List[Tensor] = []
-        for (left_ids, left_mask), (right_ids, right_mask) in slot_inputs:
-            left_wpc = self.context(left_ids, left_mask)
-            right_wpc = self.context(right_ids, right_mask)
-            left_attrs.append(self.summarizer(left_wpc, left_mask))
-            right_attrs.append(self.summarizer(right_wpc, right_mask))
-            similarities.append(
-                self.comparator(left_wpc, left_mask, right_wpc, right_mask)
-            )
-        entity_context = None
-        if self.config.use_entity_summarization:
-            left_view = EntitySummarizer.mean_view(left_attrs)
-            right_view = EntitySummarizer.mean_view(right_attrs)
-            entity_context = concat([left_view, right_view], axis=1)
-        similarity = self.entity_comparator(similarities, entity_context)
-        return self.head(similarity)
-
-    def _forward_fused(self, slot_inputs: List[tuple]) -> Tensor:
-        """Slot-stacked pairwise forward: one LM/summarizer/comparator call.
-
-        Stacks all K slots of both record sides into a single ``(2K·B, W)``
-        megabatch, so the contextual embedder, the attribute summarizer, and
-        the attribute comparator each run once per step instead of per slot.
-        Same modules and masking as :meth:`forward`; because positional
-        encodings follow the validity mask (true token order, not padded
-        offsets) the common width ``W`` cannot shift any valid position, and
-        the two paths agree to float tolerance in eval mode (training-mode
-        dropout draws still differ).  The heavy lifting after the contextual
-        embedder is shared with the embedding-store serving path via
-        :meth:`head_from_wpc`.
+        All K slots of both record sides are padded to one common width
+        ``W`` and stacked into a single ``(2K·B, W)`` megabatch, so the
+        contextual embedder, the attribute summarizer and the attribute
+        comparator each run once per step.  Positional encodings follow the
+        validity mask, so ``W`` shifts no valid position.  Everything after
+        the contextual embedder is shared with the embedding-store serving
+        path via :meth:`head_from_wpc`.
         """
         k_slots = len(slot_inputs)
         batch = slot_inputs[0][0][0].shape[0]
+        sides = ([left for left, _ in slot_inputs]
+                 + [right for _, right in slot_inputs])
+        width = max(ids.shape[1] for ids, _ in sides)
         pad_id = self.context.lm.vocab.pad_id
-        width = max(ids.shape[1] for left, right in slot_inputs
-                    for ids, _ in (left, right))
-
-        def pad_to_width(ids: np.ndarray, mask: np.ndarray):
-            if ids.shape[1] == width:
-                return ids, mask
-            out_ids = np.full((ids.shape[0], width), pad_id, dtype=ids.dtype)
-            out_ids[:, :ids.shape[1]] = ids
-            out_mask = np.zeros((mask.shape[0], width), dtype=bool)
-            out_mask[:, :mask.shape[1]] = mask
-            return out_ids, out_mask
-
-        sides = ([pad_to_width(*left) for left, _ in slot_inputs]
-                 + [pad_to_width(*right) for _, right in slot_inputs])
-        big_ids = np.concatenate([ids for ids, _ in sides], axis=0)
-        big_mask = np.concatenate([mask for _, mask in sides], axis=0)
-
+        big_ids = np.full((2 * k_slots * batch, width), pad_id,
+                          dtype=sides[0][0].dtype)
+        big_mask = np.zeros((2 * k_slots * batch, width), dtype=bool)
+        for i, (ids, mask) in enumerate(sides):
+            big_ids[i * batch:(i + 1) * batch, :ids.shape[1]] = ids
+            big_mask[i * batch:(i + 1) * batch, :mask.shape[1]] = mask
         wpc = self.context(big_ids, big_mask)
         return self.head_from_wpc(wpc, big_mask, k_slots, batch)
 
@@ -135,7 +97,8 @@ class HierGATNetwork(Module):
     # Encoder / GAT-head split (the embedding-store serving boundary)
     # ------------------------------------------------------------------
     def encode_record_slot(self, ids: np.ndarray, mask: np.ndarray) -> Tensor:
-        """Frozen-encoder half of the split: WpC for one slot batch.
+        """Frozen-encoder half of the split: WpC for a batch of attribute
+        sequences (the store encodes one record's K slots as one batch).
 
         This is everything that depends only on a single record (token
         embedding, LM encoder, token/attribute context composition) — the

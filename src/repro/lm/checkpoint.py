@@ -106,7 +106,7 @@ class SequencePairClassifier(Module):
 
 def _cache_key(name: str, scale: Scale, steps: int) -> str:
     spec = LANGUAGE_MODELS[name]
-    raw = f"{name}-d{spec.dim(scale)}-l{spec.layers(scale)}-h{scale.num_heads}-t{scale.max_tokens}-s{steps}-v5"
+    raw = f"{name}-d{spec.dim(scale)}-l{spec.layers(scale)}-h{scale.num_heads}-t{scale.max_tokens}-s{steps}-v6"
     return hashlib.blake2b(raw.encode(), digest_size=8).hexdigest() + "-" + raw
 
 

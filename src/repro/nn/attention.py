@@ -49,16 +49,26 @@ class MultiHeadSelfAttention(Module):
 
     @property
     def last_attention(self) -> Optional[np.ndarray]:
-        """Attention weights from the most recent forward pass
-        (batch, heads, seq, seq); used for Figure 9 visualisation."""
+        """Attention weights from the most recent forward pass, used for
+        Figure 9 visualisation: ``(batch, heads, seq, seq)``, or
+        ``(batch, heads, 1, seq)`` after a ``cls_only`` call (the [CLS]
+        query row over every key)."""
         return self._last_attention
 
     def _split_heads(self, x: Tensor, batch: int, seq: int) -> Tensor:
         return x.reshape(batch, seq, self.num_heads, self.head_dim).transpose(0, 2, 1, 3)
 
-    def forward(self, x: Tensor, pad_mask: Optional[np.ndarray] = None) -> Tensor:
+    def forward(self, x: Tensor, pad_mask: Optional[np.ndarray] = None,
+                cls_only: bool = False) -> Tensor:
+        """``(batch, seq, dim)`` → ``(batch, seq, dim)``.
+
+        With ``cls_only`` only position 0 queries (keys and values still
+        cover every token) and the output is ``(batch, 1, dim)``.
+        """
         batch, seq, _ = x.shape
-        q = self._split_heads(self.q_proj(x), batch, seq)
+        rows = 1 if cls_only else seq
+        q = self._split_heads(self.q_proj(x[:, :1, :] if cls_only else x),
+                              batch, rows)
         k = self._split_heads(self.k_proj(x), batch, seq)
         v = self._split_heads(self.v_proj(x), batch, seq)
 
@@ -70,7 +80,7 @@ class MultiHeadSelfAttention(Module):
         self._last_attention = attn.data
         attn = self.drop(attn)
         context = attn @ v
-        context = context.transpose(0, 2, 1, 3).reshape(batch, seq, self.dim)
+        context = context.transpose(0, 2, 1, 3).reshape(batch, rows, self.dim)
         return self.out_proj(context)
 
 

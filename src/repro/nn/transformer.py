@@ -66,8 +66,18 @@ class TransformerEncoderLayer(Module):
         self.ff2 = Linear(ff_dim, dim, rng=rng)
         self.drop = Dropout(dropout, rng=rng)
 
-    def forward(self, x: Tensor, pad_mask: Optional[np.ndarray] = None) -> Tensor:
-        x = x + self.drop(self.attn(self.norm1(x), pad_mask=pad_mask))
+    def forward(self, x: Tensor, pad_mask: Optional[np.ndarray] = None,
+                cls_only: bool = False) -> Tensor:
+        """``(batch, seq, dim)`` → ``(batch, seq, dim)``.
+
+        ``cls_only`` computes the [CLS] row alone, ``(batch, 1, dim)``:
+        ``norm1``, keys and values see every token, while the query, the
+        out-projection, the feed-forward block and ``norm2`` run on row 0.
+        """
+        attended = self.attn(self.norm1(x), pad_mask=pad_mask, cls_only=cls_only)
+        if cls_only:
+            x = x[:, :1, :]
+        x = x + self.drop(attended)
         x = x + self.drop(self.ff2(F.gelu(self.ff1(self.norm2(x)))))
         return x
 
@@ -77,8 +87,9 @@ class TransformerEncoder(Module):
 
     ``forward`` takes pre-embedded token vectors ``(batch, seq, dim)`` plus an
     optional validity mask and returns contextualised vectors of the same
-    shape.  ``cls_output`` pools position 0 — the [CLS] summary the paper uses
-    as attribute / similarity embeddings.
+    shape (``(batch, 1, dim)`` with ``cls_only``, which runs the last layer
+    on row 0 alone).  ``cls_output`` returns the position-0 vector — the
+    [CLS] summary the paper uses as attribute / similarity embeddings.
     """
 
     def __init__(self, dim: int, num_layers: int, num_heads: int,
@@ -95,18 +106,24 @@ class TransformerEncoder(Module):
         self.drop = Dropout(dropout, rng=rng)
 
     def forward(self, x: Tensor, pad_mask: Optional[np.ndarray] = None,
-                add_positions: bool = True) -> Tensor:
+                add_positions: bool = True, cls_only: bool = False) -> Tensor:
         if add_positions:
             x = self.position(x, pad_mask=pad_mask)
         x = self.drop(x)
-        for layer in self.layers:
-            x = layer(x, pad_mask=pad_mask)
+        last = len(self.layers) - 1
+        for i, layer in enumerate(self.layers):
+            x = layer(x, pad_mask=pad_mask, cls_only=cls_only and i == last)
         return self.final_norm(x)
 
     def cls_output(self, x: Tensor, pad_mask: Optional[np.ndarray] = None,
                    add_positions: bool = True) -> Tensor:
-        """Encode and return the position-0 ([CLS]) vector per sequence."""
-        encoded = self.forward(x, pad_mask=pad_mask, add_positions=add_positions)
+        """Encode and return the position-0 ([CLS]) vector per sequence.
+
+        The last layer computes row 0 alone (``cls_only``); earlier layers
+        run in full because its keys and values cover all of their rows.
+        """
+        encoded = self.forward(x, pad_mask=pad_mask, add_positions=add_positions,
+                               cls_only=True)
         return encoded[:, 0, :]
 
     def attention_maps(self) -> List[np.ndarray]:

@@ -1,21 +1,13 @@
-"""``repro.perf`` — the performance layer: encoding caches, fast paths, profiler.
+"""``repro.perf`` — the performance layer: encoding caches and the profiler.
 
-Two independent switches control the hot paths:
+One switch, ``cache`` (default **on**), controls exact memoization of
+tokenization, padded slot batches, and frozen-weights LM contexts.  It is
+bitwise-transparent: a cached run produces identical logits to an uncached
+one.  (The slot-stacked HierGAT forward is not a switch: it is the only
+forward; see ``HierGATNetwork.forward``.)
 
-* ``cache`` (default **on**) — exact memoization of tokenization, padded
-  slot batches, and frozen-weights LM contexts.  Bitwise-transparent: a
-  cached run produces identical logits to an uncached one.
-* ``fused_forward`` (default **off**) — the batched HierGAT forward that
-  stacks every attribute slot and both record sides into one language-model
-  call instead of ``2K`` per step.  Same modules and masking, but outputs
-  are not identical to the per-slot path: the common padded width shifts the
-  positional encodings of the comparator's right-side segment and
-  reassociates float sums (the paths agree to float tolerance when all
-  slots share one width).  A throughput mode — models trained with it are
-  self-consistent.  Enable it for speed (``make bench-perf`` does).
-
-Environment override: ``REPRO_PERF=0`` disables everything,
-``REPRO_PERF=1`` (or ``full``) enables both switches.
+Environment override: ``REPRO_PERF=0`` (or ``off``/``false``) turns the
+caches off at import time; any other value keeps the default.
 
 The op-level profiler is always off unless explicitly started; see
 :mod:`repro.perf.profiler`.
@@ -49,7 +41,7 @@ __all__ = [
     "CacheStats", "LRUCache", "OpStats", "Profiler", "PROFILER",
     "batch_cache", "bump_params_version", "cache_enabled", "cache_stats",
     "clear_caches", "configure", "disable", "enable", "entity_key",
-    "fused_enabled", "get_cache", "instance_token", "lm_cache",
+    "get_cache", "instance_token", "lm_cache",
     "params_version", "perf_mode",
     "profile", "profiler_enabled", "reset_stats", "resize", "token_cache",
 ]
@@ -60,16 +52,11 @@ class PerfConfig:
     """The active switch settings for the performance layer."""
 
     cache: bool = True
-    fused_forward: bool = False
 
 
 def _from_env() -> PerfConfig:
     raw = os.environ.get("REPRO_PERF", "").strip().lower()
-    if raw in ("0", "off", "false"):
-        return PerfConfig(cache=False, fused_forward=False)
-    if raw in ("1", "on", "full", "true"):
-        return PerfConfig(cache=True, fused_forward=True)
-    return PerfConfig()
+    return PerfConfig(cache=raw not in ("0", "off", "false"))
 
 
 _config = _from_env()
@@ -83,39 +70,31 @@ def cache_enabled() -> bool:
     return _config.cache
 
 
-def fused_enabled() -> bool:
-    return _config.fused_forward
-
-
-def configure(cache: bool = None, fused_forward: bool = None) -> PerfConfig:
-    """Update individual switches; ``None`` leaves a switch unchanged."""
+def configure(cache: bool = None) -> PerfConfig:
+    """Update the switch; ``None`` leaves it unchanged."""
     global _config
-    _config = PerfConfig(
-        cache=_config.cache if cache is None else bool(cache),
-        fused_forward=(_config.fused_forward if fused_forward is None
-                       else bool(fused_forward)),
-    )
+    _config = PerfConfig(cache=_config.cache if cache is None else bool(cache))
     if not _config.cache:
         clear_caches()
     return _config
 
 
 def enable() -> PerfConfig:
-    """Turn on every performance feature (cache + fused forward)."""
-    return configure(cache=True, fused_forward=True)
+    """Turn the encoding caches on (the default)."""
+    return configure(cache=True)
 
 
 def disable() -> PerfConfig:
     """Turn the whole performance layer off (the measured baseline)."""
-    return configure(cache=False, fused_forward=False)
+    return configure(cache=False)
 
 
 @contextlib.contextmanager
-def perf_mode(cache: bool = None, fused_forward: bool = None):
-    """Temporarily override the switches (restores the previous config)."""
+def perf_mode(cache: bool = None):
+    """Temporarily override the switch (restores the previous config)."""
     global _config
     previous = _config
-    configure(cache=cache, fused_forward=fused_forward)
+    configure(cache=cache)
     try:
         yield _config
     finally:

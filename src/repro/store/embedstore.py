@@ -52,6 +52,7 @@ from typing import Dict, Iterable, List, Optional, Sequence
 import numpy as np
 
 from repro.autograd import no_grad
+from repro.matchers.encoding import pad_sequences
 from repro.perf.cache import get_cache, instance_token, params_version
 from repro.reliability.counters import COUNTERS
 from repro.reliability.faults import fault_point
@@ -136,23 +137,22 @@ class StoreStats:
 def encode_record(network, encoder, entity, num_attributes: int) -> StoredRecord:
     """Run the frozen-encoder half for one record, at true token length.
 
-    This single function is both the offline build path *and* the online
-    store-miss fallback, so in float32 store mode a hit returns exactly the
-    bytes a miss would compute — bitwise parity by construction.
+    The record's K slots are padded into one ``(K, W)`` batch and encoded
+    in a single call; each slot's WpC block is then cut back to its true
+    length.  This single function is both the offline build path *and*
+    the online store-miss fallback, so in float32 store mode a hit returns
+    exactly the bytes a miss would compute — bitwise parity by construction.
     """
-    wpc_slots: List[np.ndarray] = []
-    attr_rows: List[np.ndarray] = []
+    sequences = [encoder.attribute_ids(entity, k) for k in range(num_attributes)]
+    ids, mask = pad_sequences(sequences, encoder.vocab.pad_id)
     with no_grad():
         network.eval()
-        for k in range(num_attributes):
-            token_ids = encoder.attribute_ids(entity, k)
-            ids = np.asarray([token_ids], dtype=np.int64)
-            mask = np.ones((1, len(token_ids)), dtype=bool)
-            wpc = network.encode_record_slot(ids, mask)
-            attr = network.summarizer(wpc, mask)
-            wpc_slots.append(np.array(wpc.data[0], dtype=np.float32))
-            attr_rows.append(np.array(attr.data[0], dtype=np.float32))
-    return StoredRecord(wpc=wpc_slots, attrs=np.stack(attr_rows))
+        wpc = network.encode_record_slot(ids, mask)
+        attrs = network.summarizer(wpc, mask)
+    return StoredRecord(
+        wpc=[np.array(wpc.data[k, :len(seq)], dtype=np.float32)
+             for k, seq in enumerate(sequences)],
+        attrs=np.array(attrs.data, dtype=np.float32))
 
 
 # ----------------------------------------------------------------------

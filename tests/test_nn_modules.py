@@ -173,6 +173,49 @@ class TestTransformer:
         x = Tensor(rng.standard_normal((3, 5, 8)).astype(np.float32))
         assert enc.cls_output(x).shape == (3, 8)
 
+    @pytest.mark.parametrize("num_layers", [1, 2])
+    @pytest.mark.parametrize("mode", ["eval", "train"])
+    def test_cls_output_matches_full_forward_row0(self, rng, num_layers, mode):
+        """The [CLS]-row last layer equals row 0 of the full-sequence
+        forward (train mode with dropout 0 draws no masks)."""
+        enc = TransformerEncoder(8, num_layers=num_layers, num_heads=2,
+                                 dropout=0.0, rng=rng)
+        enc.train(mode == "train")
+        x = Tensor(rng.standard_normal((3, 5, 8)).astype(np.float32))
+        mask = np.array([[True] * 5, [True] * 3 + [False] * 2,
+                         [True] + [False] * 4])
+        full = enc(x, pad_mask=mask).data[:, 0, :]
+        np.testing.assert_allclose(enc.cls_output(x, pad_mask=mask).data, full,
+                                   atol=1e-5, rtol=0)
+
+    def test_cls_output_gradcheck(self, f64, rng):
+        """Gradients through the [CLS]-row last layer: the input, the
+        row-0 query and feed-forward weights, and the all-token keys."""
+        enc = TransformerEncoder(4, num_layers=2, num_heads=2, ff_dim=8,
+                                 dropout=0.0, rng=rng)
+        last = enc.layers[-1]
+        x = Tensor(rng.standard_normal((2, 3, 4)), requires_grad=True)
+        mask = np.array([[True, True, True], [True, True, False]])
+        assert gradcheck(lambda a, *_: enc.cls_output(a, pad_mask=mask),
+                         [x, last.attn.q_proj.weight, last.attn.k_proj.weight,
+                          last.ff1.weight, last.norm1.gamma])
+
+    def test_cls_only_attention_row_shape(self, rng):
+        from repro.core.aggregation import AttributeSummarizer
+
+        summarizer = AttributeSummarizer(8, num_heads=2, rng=rng)
+        summarizer.eval()
+        x = Tensor(rng.standard_normal((3, 5, 8)).astype(np.float32))
+        mask = np.array([[True] * 5, [True] * 3 + [False] * 2,
+                         [True] * 2 + [False] * 3])
+        summarizer(x, mask)
+        attn = summarizer.encoder.layers[-1].attn.last_attention
+        assert attn.shape == (3, 2, 1, 5)
+        weights = summarizer.attention_map()       # Figure 9 input
+        assert weights.shape == (3, 5)
+        np.testing.assert_allclose(weights.sum(axis=1), 1.0, atol=1e-6)
+        assert np.all(weights[~mask] < 1e-6)
+
     def test_encoder_gradient_flows_to_input(self, rng):
         enc = TransformerEncoder(8, num_layers=1, num_heads=2, dropout=0.0, rng=rng)
         x = Tensor(rng.standard_normal((1, 4, 8)).astype(np.float32), requires_grad=True)

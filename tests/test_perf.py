@@ -81,7 +81,7 @@ def test_batch_cache_key_includes_composition():
     cache = perf.get_cache("batches")
     cache.clear()
     cache.stats.reset()
-    with perf.perf_mode(cache=True, fused_forward=False):
+    with perf.perf_mode(cache=True):
         first = encoder.encode_slot(pairs[:4], 0, "left")
         shifted = encoder.encode_slot(pairs[1:5], 0, "left")
         replay = encoder.encode_slot(pairs[:4], 0, "left")
@@ -114,7 +114,7 @@ def test_batch_cache_eviction_pressure_stays_correct():
     try:
         perf.resize("batches", 4)
         batches = [pairs[i:i + 4] for i in range(0, len(pairs) - 4, 2)]
-        with perf.perf_mode(cache=True, fused_forward=False):
+        with perf.perf_mode(cache=True):
             expected = [encoder._encode_slot(b, 0, "left") for b in batches]
             cached = [encoder.encode_slot(b, 0, "left") for b in batches]
         assert cache.stats.evictions > 0
@@ -227,7 +227,7 @@ def test_cache_toggle_is_bitwise_transparent():
     ds = load_dataset("Beer")
     results = {}
     for cached in (False, True):
-        with perf.perf_mode(cache=cached, fused_forward=False):
+        with perf.perf_mode(cache=cached):
             perf.clear_caches()
             matcher = HierGAT()
             matcher.fit(ds)
@@ -235,21 +235,57 @@ def test_cache_toggle_is_bitwise_transparent():
     np.testing.assert_array_equal(results[False], results[True])
 
 
-def test_fused_forward_matches_per_slot_on_uniform_width():
-    """With a single attribute slot every sequence shares one padded width,
-    so the fused stacked forward agrees with the per-slot path (the general
-    multi-width case differs by design; see HierGATNetwork._forward_fused)."""
+def _per_slot_reference(net, slots):
+    """The pairwise forward composed slot by slot (2K LM calls), from the
+    network's own modules: the reference the slot-stacked
+    ``HierGATNetwork.forward`` must agree with."""
+    from repro.autograd import concat
+    from repro.core.aggregation import EntitySummarizer
+
+    similarities, left_attrs, right_attrs = [], [], []
+    for (left_ids, left_mask), (right_ids, right_mask) in slots:
+        left_wpc = net.context(left_ids, left_mask)
+        right_wpc = net.context(right_ids, right_mask)
+        left_attrs.append(net.summarizer(left_wpc, left_mask))
+        right_attrs.append(net.summarizer(right_wpc, right_mask))
+        similarities.append(
+            net.comparator(left_wpc, left_mask, right_wpc, right_mask))
+    entity_context = None
+    if net.config.use_entity_summarization:
+        entity_context = concat([EntitySummarizer.mean_view(left_attrs),
+                                 EntitySummarizer.mean_view(right_attrs)],
+                                axis=1)
+    return net.head(net.entity_comparator(similarities, entity_context))
+
+
+def _slots(matcher, pairs):
+    return [
+        (matcher._encoder.encode_slot(pairs, k, "left"),
+         matcher._encoder.encode_slot(pairs, k, "right"))
+        for k in range(matcher._num_attributes)
+    ]
+
+
+def test_forward_matches_per_slot_reference_on_uniform_width():
+    """With a single attribute slot every sequence shares one padded width;
+    the stacked forward's test scores agree with the per-slot reference."""
+    from repro.autograd import functional as F, no_grad
     from repro.core.hiergat import HierGAT
     from repro.data.magellan import load_dataset
 
     ds = load_dataset("Company")    # one "content" attribute
     matcher = HierGAT()
-    with perf.perf_mode(cache=True, fused_forward=False):
-        matcher.fit(ds)
-        per_slot = matcher.scores(ds.split.test)
-    with perf.perf_mode(cache=True, fused_forward=True):
-        fused = matcher.scores(ds.split.test)
-    np.testing.assert_allclose(fused, per_slot, atol=1e-5, rtol=1e-4)
+    matcher.fit(ds)
+    scores = matcher.scores(ds.split.test)
+    net = matcher._network
+    net.eval()
+    pairs, size = list(ds.split.test), matcher.scale.batch_size
+    with no_grad():
+        reference = np.concatenate([
+            F.softmax(_per_slot_reference(
+                net, _slots(matcher, pairs[i:i + size])), axis=-1).data[:, 1]
+            for i in range(0, len(pairs), size)])
+    np.testing.assert_allclose(scores, reference, atol=1e-5, rtol=1e-4)
 
 
 def _fitted_hiergat_slots():
@@ -259,19 +295,12 @@ def _fitted_hiergat_slots():
 
     ds = load_dataset("Beer")       # multi-attribute: slot widths differ
     matcher = HierGAT()
-    with perf.perf_mode(cache=True, fused_forward=False):
-        matcher.fit(ds)
-    pairs = ds.split.test[:8]
-    slots = [
-        (matcher._encoder.encode_slot(pairs, k, "left"),
-         matcher._encoder.encode_slot(pairs, k, "right"))
-        for k in range(matcher._num_attributes)
-    ]
-    return matcher, slots
+    matcher.fit(ds)
+    return matcher, _slots(matcher, ds.split.test[:8])
 
 
 def _pad_slots_to_common_width(slots, pad_id):
-    """Pre-pad every slot batch to the fused megabatch width W."""
+    """Pre-pad every slot batch to the stacked megabatch width W."""
     width = max(ids.shape[1] for left, right in slots for ids, _ in (left, right))
 
     def pad(ids, mask):
@@ -285,14 +314,14 @@ def _pad_slots_to_common_width(slots, pad_id):
 
 
 def test_fused_nonuniform_matches_per_slot():
-    """Fused and per-slot forwards agree on ragged slot widths.
+    """The slot-stacked forward agrees with the per-slot reference on
+    ragged slot widths.
 
     Positional encodings are computed from the validity mask (the true,
-    unpadded token order), so the fused megabatch's common width W no
-    longer shifts any valid position: the only remaining difference
-    between the paths is float reassociation from the extra all-pad
-    columns, which stays within tight tolerance.  (Before the mask-based
-    positions this test pinned a genuine divergence.)"""
+    unpadded token order), so the megabatch's common width W shifts no
+    valid position: the only difference from the per-slot composition is
+    float reassociation from the extra all-pad columns, which stays within
+    tight tolerance."""
     from repro.autograd import no_grad
 
     matcher, slots = _fitted_hiergat_slots()
@@ -303,30 +332,28 @@ def test_fused_nonuniform_matches_per_slot():
     assert len(widths) > 1, "Beer slots must have non-uniform widths"
 
     with no_grad():
-        with perf.perf_mode(fused_forward=False):
-            per_slot = net(slots).data
-        fused = net._forward_fused(slots).data
+        reference = _per_slot_reference(net, slots).data
+        stacked = net(slots).data
         padded = _pad_slots_to_common_width(slots, net.context.lm.vocab.pad_id)
-        with perf.perf_mode(fused_forward=False):
-            per_slot_padded = net(padded).data
-        fused_padded = net._forward_fused(padded).data
+        reference_padded = _per_slot_reference(net, padded).data
+        stacked_padded = net(padded).data
 
-    np.testing.assert_allclose(per_slot, fused, atol=1e-5, rtol=1e-4)
-    np.testing.assert_allclose(per_slot_padded, fused, atol=1e-5, rtol=1e-4)
-    np.testing.assert_allclose(fused_padded, fused, atol=1e-5, rtol=1e-4)
+    np.testing.assert_allclose(reference, stacked, atol=1e-5, rtol=1e-4)
+    np.testing.assert_allclose(reference_padded, stacked, atol=1e-5, rtol=1e-4)
+    np.testing.assert_allclose(stacked_padded, stacked, atol=1e-5, rtol=1e-4)
 
 
 def test_outputs_are_width_invariant():
-    """Padding width no longer leaks into model outputs, on either path.
+    """Padding width does not leak into model outputs.
 
     The attribute comparator concatenates the left and right token
     sequences, so with table-order positional encodings the right
     segment's positions used to shift with the (padded) left width.
     Mask-based positions remove that sensitivity: widening every slot by
-    all-pad columns leaves both the per-slot and the fused outputs
-    unchanged to float tolerance.  This invariance is what lets the
-    embedding store persist records at their true length and replay them
-    into batches of any width."""
+    all-pad columns leaves both the stacked forward and the per-slot
+    reference unchanged to float tolerance.  This invariance is what lets
+    the embedding store persist records at their true length and replay
+    them into batches of any width."""
     from repro.autograd import no_grad
 
     matcher, slots = _fitted_hiergat_slots()
@@ -344,24 +371,23 @@ def test_outputs_are_width_invariant():
 
     widened = [(widen(*left, 3), widen(*right, 3)) for left, right in slots]
     with no_grad():
-        with perf.perf_mode(fused_forward=False):
-            per_slot, per_slot_wide = net(slots).data, net(widened).data
-        fused, fused_wide = (net._forward_fused(slots).data,
-                             net._forward_fused(widened).data)
-    np.testing.assert_allclose(per_slot_wide, per_slot, atol=1e-5, rtol=1e-4)
-    np.testing.assert_allclose(fused_wide, fused, atol=1e-5, rtol=1e-4)
-    np.testing.assert_allclose(fused, per_slot, atol=1e-5, rtol=1e-4)
+        reference, reference_wide = (_per_slot_reference(net, slots).data,
+                                     _per_slot_reference(net, widened).data)
+        stacked, stacked_wide = net(slots).data, net(widened).data
+    np.testing.assert_allclose(reference_wide, reference, atol=1e-5, rtol=1e-4)
+    np.testing.assert_allclose(stacked_wide, stacked, atol=1e-5, rtol=1e-4)
+    np.testing.assert_allclose(stacked, reference, atol=1e-5, rtol=1e-4)
 
 
 def test_fused_nonuniform_backward_produces_finite_grads():
-    """The fused path must be trainable on ragged slot widths: backward
-    reaches every parameter with finite gradients."""
+    """The slot-stacked forward must be trainable on ragged slot widths:
+    backward reaches every parameter with finite gradients."""
     from repro.autograd import functional as F
 
     matcher, slots = _fitted_hiergat_slots()
     net = matcher._network
     net.train()
-    logits = net._forward_fused(slots)
+    logits = net(slots)
     labels = np.array([i % 2 for i in range(logits.shape[0])])
     loss = F.cross_entropy(logits, labels)
     assert np.isfinite(loss.item())
@@ -378,7 +404,6 @@ def test_fused_nonuniform_backward_produces_finite_grads():
 
 def test_perf_mode_restores_previous_config():
     before = perf.get_config()
-    with perf.perf_mode(cache=False, fused_forward=True):
+    with perf.perf_mode(cache=False):
         assert not perf.cache_enabled()
-        assert perf.fused_enabled()
     assert perf.get_config() == before

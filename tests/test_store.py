@@ -140,6 +140,31 @@ class TestBuildAndParity:
             assert np.array_equal(got, want)
         assert np.array_equal(record.attrs, live.attrs)
 
+    def test_stacked_encode_keeps_true_lengths_and_matches_per_slot(
+            self, fitted, dataset):
+        """``encode_record`` encodes the K slots in one padded call, then
+        cuts each back to its true length: the same blocks a per-slot
+        encode at that length computes, within float tolerance."""
+        from repro.autograd import no_grad
+
+        network, encoder = fitted._network, fitted._encoder
+        k_slots = fitted._num_attributes
+        entity = _test_entities(dataset)[0]
+        lengths = [len(encoder.attribute_ids(entity, k)) for k in range(k_slots)]
+        assert len(set(lengths)) > 1, "slots must have different lengths"
+        record = encode_record(network, encoder, entity, k_slots)
+        assert [block.shape for block in record.wpc] == [
+            (n, network.dim) for n in lengths]
+        assert record.attrs.shape == (k_slots, network.dim)
+        with no_grad():
+            for k, n in enumerate(lengths):
+                ids = np.asarray([encoder.attribute_ids(entity, k)])
+                mask = np.ones((1, n), dtype=bool)
+                wpc = network.encode_record_slot(ids, mask)
+                attr = network.summarizer(wpc, mask)
+                np.testing.assert_allclose(record.wpc[k], wpc.data[0], atol=1e-5)
+                np.testing.assert_allclose(record.attrs[k], attr.data[0], atol=1e-5)
+
     def test_second_get_serves_from_fronting_lru(self, tmp_path, fitted, dataset):
         entities = _test_entities(dataset)
         store = build_store(tmp_path / "s", fitted, entities)
