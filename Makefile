@@ -2,7 +2,7 @@
 
 PYTHON ?= python3
 
-.PHONY: install test lint ci coverage check bench bench-full bench-perf bench-serve bench-robust bench-block examples report clean-cache
+.PHONY: install test lint ci coverage check bench bench-full bench-serve bench-robust bench-block examples report clean-cache
 
 install:
 	$(PYTHON) setup.py develop
@@ -70,12 +70,6 @@ check:
 
 bench:
 	$(PYTHON) -m pytest benchmarks/ --benchmark-only -s
-
-# Performance-layer benchmark: cached vs uncached (identical F1 tables) plus the
-# embedding-store serving mode (float32 parity + int8 ΔF1 + ≥10x gates),
-# writes BENCH_perf.json.
-bench-perf:
-	PYTHONPATH=src $(PYTHON) benchmarks/run_perf.py --store
 
 # Serving-layer soak benchmark: clean/chaos/pressure soaks plus the
 # 1/2/4-replica cluster scaling curve, writes BENCH_serve.json.

@@ -92,7 +92,7 @@ _QUEUEISH_TOKENS = ("queue", "thread", "worker")
 _OS_IO_LEAVES = frozenset({"replace", "rename", "remove", "unlink"})
 
 #: (lock name, callee leaf) pairs R009 explicitly permits.  The model
-#: lock *exists* to serialize tier-1 scoring: the encoding caches and the
+#: lock *exists* to serialize tier-1 scoring: the store LRU and the
 #: autograd engine are process globals, and chunked scoring must be
 #: bitwise-identical to the offline single-threaded call.
 DEFAULT_BLOCKING_ALLOWLIST = frozenset({("serving.model", "score")})

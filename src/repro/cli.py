@@ -164,10 +164,6 @@ def cmd_profile(args) -> int:
     from repro.perf.profiler import wall_clock
     from repro.data import load_dataset
 
-    if args.perf == "off":
-        perf.disable()
-    # "default" leaves the session config (caches on) untouched.
-
     use_store = args.store != "off"
     if use_store and args.matcher != "hiergat":
         print("--store requires the hiergat matcher (the encoder/GAT split)",
@@ -696,10 +692,6 @@ def build_parser() -> argparse.ArgumentParser:
     profile.add_argument("--matcher", choices=MATCHER_CHOICES, default="hiergat")
     profile.add_argument("--dirty", action="store_true")
     profile.add_argument("--top", type=int, default=10, help="ops to show")
-    profile.add_argument("--perf", choices=("default", "off"),
-                         default="default",
-                         help="encoding caches during the run (off: "
-                              "the uncached baseline)")
     profile.add_argument("--fast", action="store_true", help="tiny CI scale")
     profile.add_argument("--store", choices=("off", "float32", "float16", "int8"),
                          default="off",

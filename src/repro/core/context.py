@@ -28,10 +28,8 @@ from typing import Optional
 import numpy as np
 
 from repro.autograd import Tensor, broadcast_to
-from repro.autograd.tensor import _grad_enabled
 from repro.lm.registry import PretrainedLM
 from repro.nn import MaskedAttnPool, Module
-from repro.perf.cache import instance_token, lm_cache, params_version
 
 
 @dataclasses.dataclass(frozen=True)
@@ -112,27 +110,6 @@ class ContextualEmbedder(Module):
                 common_mask: Optional[np.ndarray] = None,
                 unique_attr_context: Optional[Tensor] = None) -> Tensor:
         """One-shot WpC computation ``(batch, seq, dim)`` honouring the flags."""
-        if (common_mask is None and unique_attr_context is None
-                and not self.training and not _grad_enabled()):
-            from repro import perf
-
-            if perf.cache_enabled():
-                # Frozen weights + eval mode + no graph: the WpC array is a
-                # pure function of the ids/mask batch, so memoize it.  The
-                # params_version component invalidates entries the moment any
-                # optimizer step or load_state_dict mutates weights.
-                key = (instance_token(self), params_version(),
-                       ids.tobytes(), mask.tobytes())
-                expected = ids.shape + (self.lm.dim,)
-                return Tensor(lm_cache().get_or_compute(
-                    key, lambda: self._forward_uncached(ids, mask).data,
-                    validate=lambda v: (isinstance(v, np.ndarray)
-                                        and v.shape == expected)))
-        return self._forward_uncached(ids, mask, common_mask, unique_attr_context)
-
-    def _forward_uncached(self, ids: np.ndarray, mask: np.ndarray,
-                          common_mask: Optional[np.ndarray] = None,
-                          unique_attr_context: Optional[Tensor] = None) -> Tensor:
         raw = self.lm.embed(ids)  # V^t
         # C^t reuses the raw embeddings instead of re-looking them up inside
         # lm.encode (same values; halves the embedding work per batch).

@@ -13,30 +13,9 @@ import numpy as np
 
 from repro.config import Scale, get_scale
 from repro.data.schema import EntityPair, PairDataset
-from repro.perf.cache import (batch_cache, composition_digest, entity_key,
-                              instance_token, token_cache)
 from repro.text.serialize import serialize_pair
 from repro.text.tokenizer import tokenize
 from repro.text.vocab import Vocabulary
-
-
-def _cache_on() -> bool:
-    from repro import perf
-
-    return perf.cache_enabled()
-
-
-def _valid_ids(value) -> bool:
-    """Cache-entry sanity check: a token-id list, not a poisoned payload."""
-    return isinstance(value, list) and all(isinstance(i, int) for i in value[:2])
-
-
-def _valid_batch(value, batch: int) -> bool:
-    """Cache-entry sanity check for padded ``(ids, mask)`` slot batches."""
-    return (isinstance(value, tuple) and len(value) == 2
-            and isinstance(value[0], np.ndarray) and isinstance(value[1], np.ndarray)
-            and value[0].shape == value[1].shape
-            and value[0].shape[0] == batch)
 
 
 def build_vocabulary(dataset: PairDataset, num_oov_buckets: int = 64) -> Tuple[Vocabulary, List[List[str]]]:
@@ -79,24 +58,12 @@ class PairEncoder:
         self.vocab = vocab
         self.max_tokens = max_tokens or scale.max_tokens
 
-    def _pair_ids(self, pair: EntityPair) -> List[int]:
-        return self.vocab.encode(
-            serialize_pair(pair.left, pair.right, max_tokens=self.max_tokens))
-
     def encode(self, pairs: Sequence[EntityPair]) -> Tuple[np.ndarray, np.ndarray]:
-        if _cache_on():
-            vkey = instance_token(self.vocab)
-            cache = token_cache()
-            sequences = [
-                cache.get_or_compute(
-                    ("pair", entity_key(p.left), entity_key(p.right),
-                     self.max_tokens, vkey),
-                    lambda p=p: self._pair_ids(p),
-                    validate=_valid_ids)
-                for p in pairs
-            ]
-        else:
-            sequences = [self._pair_ids(p) for p in pairs]
+        sequences = [
+            self.vocab.encode(serialize_pair(p.left, p.right,
+                                             max_tokens=self.max_tokens))
+            for p in pairs
+        ]
         return pad_sequences(sequences, self.vocab.pad_id, max_len=self.max_tokens)
 
 
@@ -116,15 +83,6 @@ class AttributeEncoder:
         self.include_key = include_key
 
     def attribute_ids(self, entity, slot: int) -> List[int]:
-        if _cache_on():
-            key = ("attr", entity_key(entity), slot, self.max_value_tokens,
-                   self.include_key, instance_token(self.vocab))
-            return token_cache().get_or_compute(
-                key, lambda: self._attribute_ids(entity, slot),
-                validate=_valid_ids)
-        return self._attribute_ids(entity, slot)
-
-    def _attribute_ids(self, entity, slot: int) -> List[int]:
         key, value = entity.attributes[slot]
         tokens = tokenize(value)[: self.max_value_tokens]
         ids = [self.vocab.cls_id]
@@ -136,25 +94,6 @@ class AttributeEncoder:
 
     def encode_slot(self, pairs: Sequence[EntityPair], slot: int,
                     side: str) -> Tuple[np.ndarray, np.ndarray]:
-        if not _cache_on():
-            return self._encode_slot(pairs, slot, side)
-        # The padded batch is reused verbatim whenever the same batch
-        # composition recurs — e.g. the per-epoch validation passes and the
-        # post-restore scoring, which iterate identical batches every time.
-        # The composition (the ordered per-record entity keys) is digested
-        # to a constant-size hash instead of stored as an O(batch) tuple.
-        composition = composition_digest(
-            tuple(entity_key(p.left if side == "left" else p.right)
-                  for p in pairs))
-        key = ("slot", composition, len(pairs),
-               slot, self.max_value_tokens, self.include_key,
-               instance_token(self.vocab))
-        return batch_cache().get_or_compute(
-            key, lambda: self._encode_slot(pairs, slot, side),
-            validate=lambda v: _valid_batch(v, len(pairs)))
-
-    def _encode_slot(self, pairs: Sequence[EntityPair], slot: int,
-                     side: str) -> Tuple[np.ndarray, np.ndarray]:
         sequences = []
         for pair in pairs:
             entity = pair.left if side == "left" else pair.right

@@ -1,31 +1,26 @@
-"""Bounded LRU caches for the hot encoding paths.
+"""Bounded, named LRU caches and the weights version that keys them.
 
-Entity resolution workloads re-encode the same records over and over: a
-record appears in many candidate pairs, and every training epoch revisits
-every pair.  The caches here memoize the deterministic parts of that work —
-tokenization, padded id/mask batches, and (under ``no_grad`` inference with
-frozen weights) language-model context arrays — so each record is encoded
-once per dataset instead of once per pair per epoch.
+The registry here backs the embedding store's fronting LRU (``store``:
+shard reads and live encodes of stored records) and the embedding
+blocker's record-vector memo (``blocking``).
 
 Everything in this module is dependency-light (numpy-only values, plain
 Python containers, plus the stdlib-only ``repro.reliability`` leaf modules)
 so it can be imported from the autograd engine, the optimizers, and the
 module system without cycles.
 
-Cache entries are exact memoizations: a hit returns the very arrays a miss
-would have computed, so cached and uncached runs are bitwise identical.
-Mutable weights are handled by :func:`params_version`, a global counter every
-optimizer step and ``load_state_dict`` bumps; any cache key that depends on
-model weights includes the version, so stale activations can never be
-returned.
+Cache entries are exact memoizations: a hit returns the very value a miss
+would have computed.  Mutable weights are handled by :func:`params_version`,
+a global counter every optimizer step and ``load_state_dict`` bumps; any
+cache key that depends on model weights includes the version, so stale
+activations can never be returned.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import hashlib
 from collections import OrderedDict
-from typing import Any, Callable, Dict, Hashable, Optional, Tuple
+from typing import Any, Callable, Dict, Hashable, Optional
 
 from repro.reliability.counters import COUNTERS
 from repro.reliability.faults import fault_point
@@ -78,7 +73,7 @@ class LRUCache:
 
     ``get``/``put`` move touched keys to the most-recent end; inserting past
     ``capacity`` evicts the least-recently-used entry.  ``get_or_compute``
-    is the memoization workhorse used by the encoders.
+    is the memoizing read with poisoned-entry degradation.
     """
 
     def __init__(self, capacity: int, name: str = "lru"):
@@ -177,11 +172,8 @@ def bump_params_version() -> None:
 # ----------------------------------------------------------------------
 # The global cache registry.
 # ----------------------------------------------------------------------
-#: Default entry bounds; override via repro.perf.configure(cache_size=...).
+#: Default entry bounds (other names get 4096); change one with :func:`resize`.
 DEFAULT_CAPACITY = {
-    "tokens": 65536,    # per-(record, slot) token id lists — tiny entries
-    "batches": 8192,    # padded (ids, mask) batch arrays
-    "lm": 1024,         # no_grad LM context arrays — the big entries
     "store": 2048,      # dequantized embedding-store records (store/)
 }
 
@@ -195,21 +187,6 @@ def get_cache(name: str) -> LRUCache:
         cache = LRUCache(DEFAULT_CAPACITY.get(name, 4096), name=name)
         _caches[name] = cache
     return cache
-
-
-def token_cache() -> LRUCache:
-    """Record/attribute token-id memo (tokenize + vocab.encode)."""
-    return get_cache("tokens")
-
-
-def batch_cache() -> LRUCache:
-    """Padded (ids, mask) slot-batch memo, reused across epochs."""
-    return get_cache("batches")
-
-
-def lm_cache() -> LRUCache:
-    """Frozen-weights LM context memo for ``no_grad`` inference."""
-    return get_cache("lm")
 
 
 def resize(name: str, capacity: int) -> None:
@@ -233,7 +210,7 @@ def reset_stats() -> None:
 
 
 def cache_stats() -> Dict[str, Dict[str, float]]:
-    """Per-cache counters plus an aggregate row (used by BENCH_perf.json)."""
+    """Per-cache counters plus an aggregate ``total`` row."""
     out: Dict[str, Dict[str, float]] = {}
     total = CacheStats()
     for name, cache in sorted(_caches.items()):
@@ -241,6 +218,7 @@ def cache_stats() -> Dict[str, Dict[str, float]]:
         total.hits += cache.stats.hits
         total.misses += cache.stats.misses
         total.evictions += cache.stats.evictions
+        total.degraded += cache.stats.degraded
     out["total"] = total.as_dict()
     return out
 
@@ -264,29 +242,3 @@ def instance_token(obj) -> int:
         except AttributeError:  # __slots__ instances can't be tagged
             return id(obj)
     return token
-
-
-def entity_key(entity) -> Tuple[str, int]:
-    """Stable cache key for one record: ``(uid, hash of attribute text)``.
-
-    The text hash guards against uid collisions across datasets and against
-    augmented/dirty variants that reuse uids with altered values.
-    """
-    return (entity.uid, hash(entity.attributes))
-
-
-def composition_digest(*parts) -> str:
-    """Compact digest of a batch composition for cache keys.
-
-    Batch-level caches used to key on the full tuple of per-record entity
-    keys, so every entry carried an O(batch) key that was almost never
-    shared (BENCH_perf.json showed an 11% hit rate with zero evictions —
-    the bound was never even exercised).  Digesting the composition keeps
-    the same uniqueness (SHA-1 over the parts' reprs; collisions are
-    negligible) at constant key size.  In-process only: parts may contain
-    salted ``hash()`` values from :func:`entity_key`.
-    """
-    digest = hashlib.sha1()
-    for part in parts:
-        digest.update(repr(part).encode("utf-8"))
-    return digest.hexdigest()

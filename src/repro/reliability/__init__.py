@@ -6,7 +6,7 @@ crash-safe and *provably* so:
 
 * :mod:`repro.reliability.faults` — a deterministic fault-injection
   framework (:class:`FaultPlan` + :func:`fault_point` sites threaded
-  through the LM checkpoints, the encoding caches, the trainer, the
+  through the LM checkpoints, the named LRU caches, the trainer, the
   pipeline, and the harness).
 * :mod:`repro.reliability.retry` — capped exponential backoff for
   transient IO faults.

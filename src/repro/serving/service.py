@@ -694,7 +694,7 @@ class InferenceService(RequestCore):
                 kind = fault_point("serving.score", request=request.id)
                 if kind == "stall":
                     time.sleep(self.config.stall_seconds)
-                # The encoding caches and the autograd engine are process
+                # The store LRU and the autograd engine are process
                 # globals; one model lock keeps worker interleavings out
                 # of the tier-1 numbers entirely.
                 with self._model_lock:

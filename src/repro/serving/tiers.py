@@ -4,8 +4,8 @@ Tier semantics (stamped on every response):
 
 * **tier 1 — the full model** (``HierGAT`` or whichever trained
   :class:`~repro.matchers.base.Matcher` the service wraps).  Highest
-  quality, slowest, and the only tier that touches the LM-encoding +
-  ``perf.cache`` path, so it sits behind the circuit breaker.
+  quality, slowest, and the only tier that touches the LM encoder and
+  the embedding store, so it sits behind the circuit breaker.
 * **tier 2 — feature matcher** (:class:`~repro.matchers.magellan.MagellanMatcher`,
   the classical Magellan baseline).  Orders of magnitude cheaper than a
   transformer forward; engaged under deadline pressure or an open breaker.

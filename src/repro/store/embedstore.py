@@ -64,12 +64,13 @@ MANIFEST_NAME = "manifest.json"
 #: exercising the multi-shard paths at CI scale.
 DEFAULT_SHARD_SIZE = 256
 
-#: Sentinel distinguishing "not cached" from a cached ``None``.
-_MISS = object()
-
 
 class StoreBuildError(RuntimeError):
     """Raised when a store build produces an inconsistent artifact."""
+
+
+class _Quarantined(Exception):
+    """A record's shard failed its checksum: the record falls through live."""
 
 
 def store_cache():
@@ -80,9 +81,8 @@ def store_cache():
 def stable_record_key(entity) -> str:
     """Process-independent record identity: uid + digest of attribute text.
 
-    ``perf.cache.entity_key`` uses Python's salted ``hash()`` and is only
-    stable within one process; the store outlives processes, so its keys
-    digest the full attribute payload instead.
+    The store outlives processes, so its keys digest the full attribute
+    payload rather than use Python's salted ``hash()``.
     """
     payload = repr(entity.attributes).encode("utf-8")
     return f"{entity.uid}:{hashlib.sha1(payload).hexdigest()[:16]}"
@@ -108,6 +108,14 @@ class StoredRecord:
 
     wpc: List[np.ndarray]
     attrs: np.ndarray
+
+
+def is_record(value, slots: int) -> bool:
+    """Cache-entry check: a :class:`StoredRecord` with ``slots`` slots, not a
+    poisoned or mangled payload (``LRUCache.get_or_compute``'s ``validate``)."""
+    return (isinstance(value, StoredRecord) and len(value.wpc) == slots
+            and isinstance(value.attrs, np.ndarray)
+            and value.attrs.shape[0] == slots)
 
 
 @dataclasses.dataclass
@@ -378,27 +386,28 @@ class EmbeddingStore:
         if entry is None:
             self.stats.misses += 1
             return None
-        cache_key = ("store", key, params_version(), instance_token(self))
-        cached = store_cache().get(cache_key, _MISS)
-        if cached is not _MISS:
-            self.stats.hits += 1
-            return cached
-        record = self._read(entry)
-        if record is None:
+        # A poisoned or invalid fronting-LRU entry (fault site
+        # ``cache.entry``) is dropped and re-read from the shard.
+        slots = len(entry["rows"])
+        try:
+            record = store_cache().get_or_compute(
+                ("store", key, params_version(), instance_token(self)),
+                lambda: self._read(entry),
+                validate=lambda value: is_record(value, slots))
+        except _Quarantined:
             self.stats.misses += 1
             self.stats.corrupt_misses += 1
             return None
-        store_cache().put(cache_key, record)
         self.stats.hits += 1
         return record
 
     # ------------------------------------------------------------------
-    def _read(self, entry: dict) -> Optional[StoredRecord]:
+    def _read(self, entry: dict) -> StoredRecord:
         shard_id = entry["shard"]
         shard = self._open_verified(f"shard-{shard_id:04d}.npy")
         attrs = self._open_verified(f"attrs-{shard_id:04d}.npy")
         if shard is None or attrs is None:
-            return None
+            raise _Quarantined(shard_id)
         wpc: List[np.ndarray] = []
         for (offset, length), scale in zip(entry["rows"], entry["scales"]):
             block = np.array(shard[offset:offset + length])

@@ -24,8 +24,7 @@ verify persisted scales against the exact float32 projection.
 
 Accuracy is policed, not assumed: the quantized serving mode is gated by a
 ΔF1 ≤ 0.5 parity check on the Table 4 quick subset (see
-``benchmarks/run_perf.py --store`` and the gate test in
-``tests/test_store.py``).
+``tests/test_store.py::test_store_gates_on_quick_jobs``, slow tier).
 """
 
 from __future__ import annotations

@@ -32,6 +32,7 @@ from repro.store.embedstore import (
     EmbeddingStore,
     StoredRecord,
     encode_record,
+    is_record,
     stable_record_key,
     store_cache,
 )
@@ -71,7 +72,8 @@ class StoreBackedScorer(Matcher):
         #: Distinct records encoded live because the store could not serve
         #: them (every record, when there is no store).  Live encodes are
         #: kept in the ``store`` LRU, so a record counts once per weights
-        #: version however many pairs and calls it appears in.
+        #: version however many pairs and calls it appears in (a poisoned
+        #: entry's re-encode counts again).
         self.live_fallbacks = 0
 
     @property
@@ -114,23 +116,27 @@ class StoreBackedScorer(Matcher):
         """Store lookup, then the live-encode cache, then the live encoder.
 
         ``encode_record`` is a pure per-record function, so a cached live
-        encode is bitwise the one a re-encode would compute.  The key pins
-        the weights version (a bump orphans the entry) and this scorer (a
-        separately built reference scorer always recomputes).
+        encode is bitwise the one a re-encode would compute; a poisoned or
+        invalid entry (fault site ``cache.entry``) is dropped and
+        re-encoded.  The key pins the weights version (a bump orphans the
+        entry) and this scorer (a separately built reference scorer always
+        recomputes).
         """
         if self.store is not None:
             record = self.store.get(entity)
             if record is not None:
                 return record
-        key = ("live", stable_record_key(entity), params_version(),
-               instance_token(self))
-        record = store_cache().get(key)
-        if record is None:
-            record = encode_record(network, self.matcher._encoder, entity,
-                                   self.matcher._num_attributes)
-            store_cache().put(key, record)
-            self.live_fallbacks += 1
-        return record
+        slots = self.matcher._num_attributes
+        return store_cache().get_or_compute(
+            ("live", stable_record_key(entity), params_version(),
+             instance_token(self)),
+            lambda: self._encode_live(network, entity),
+            validate=lambda value: is_record(value, slots))
+
+    def _encode_live(self, network, entity) -> StoredRecord:
+        self.live_fallbacks += 1
+        return encode_record(network, self.matcher._encoder, entity,
+                             self.matcher._num_attributes)
 
     def _forward_chunk(self, network, chunk: List[EntityPair]) -> Tensor:
         """Assemble one cross-pair megabatch and run the GAT head.

@@ -15,7 +15,10 @@ Covers the offline store end to end at CI scale:
   fronting LRU and the live-encode cache until the store is re-bound
   (R005);
 * the serving integration — ``InferenceService`` reads the store on tier 1
-  and reports hit/fallback counters.
+  and reports hit/fallback counters, and a chaos soak's ``cache.entry``
+  poisonings of the store LRU keep tier-1 parity;
+* the store gates (slow) — on the Table-4 quick jobs at a scale where
+  every live F1 > 0: float32 parity, int8 ΔF1 and the end-to-end ratio.
 """
 
 from __future__ import annotations
@@ -28,8 +31,11 @@ import pytest
 from repro.config import Scale, set_scale
 from repro.core import HierGAT
 from repro.data import load_dataset
+from repro.data.magellan import DIRTY_DATASETS
 from repro.data.schema import EntityPair
+from repro.harness.pairwise import QUICK_DATASETS
 from repro.perf.cache import bump_params_version, instance_token, params_version
+from repro.perf.profiler import wall_clock
 from repro.reliability.counters import COUNTERS
 from repro.reliability.faults import (
     KNOWN_SITES,
@@ -461,14 +467,78 @@ class TestServingIntegration:
         assert "store_build_discards" in stats["recovery"]
 
     def test_soak_with_store_keeps_parity(self, tmp_path, fitted, dataset):
-        from repro.serving import ServingConfig, build_cascade, run_soak
+        """The chaos soak's ``cache.entry`` poisonings land on the store
+        LRU; each poisoned record is re-read, so parity still holds."""
+        from repro.serving import (ServingConfig, build_cascade,
+                                   default_chaos_plan, run_soak)
 
         store = build_store(tmp_path / "s", fitted, _test_entities(dataset))
         cascade = build_cascade(fitted, dataset)
+        COUNTERS.reset()
         report = run_soak(cascade, dataset.split.test,
                           config=ServingConfig(queue_capacity=8, num_workers=2),
+                          plan=default_chaos_plan(),
                           n_clients=2, requests_per_client=3,
                           pairs_per_request=4, seed=0, store=store)
         assert report.conserved, report.summary()
         assert report.tier1_parity, report.summary()
+        assert report.parity_checked > 0, report.summary()
+        assert report.faults_triggered.get("cache.entry:poison", 0) >= 1, \
+            report.summary()
+        assert COUNTERS.cache_degraded > 0
         assert report.service_stats["store"]["store"]["hits"] > 0
+
+
+# ======================================================================
+# Store gates at a scale where every gated dataset scores F1 > 0
+# ======================================================================
+#: The Table-4 quick jobs: ``QUICK_DATASETS`` plus their dirty variants.
+_QUICK_JOBS = [(name, False) for name in QUICK_DATASETS] + [
+    (name, True) for name in QUICK_DATASETS if name in DIRTY_DATASETS]
+
+#: One warm-up serving pass, then this many timed passes averaged.
+_SERVE_REPEATS = 5
+
+
+def _timed_serving(scorer, pairs) -> float:
+    scorer.scores(pairs)
+    started = wall_clock()
+    for _ in range(_SERVE_REPEATS):
+        scorer.scores(pairs)
+    return (wall_clock() - started) / _SERVE_REPEATS
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("name,dirty", _QUICK_JOBS,
+                         ids=[n + (" (dirty)" if d else "")
+                              for n, d in _QUICK_JOBS])
+def test_store_gates_on_quick_jobs(tmp_path, name, dirty):
+    """Live F1 > 0 (so the ΔF1 gate cannot compare two zeros), float32
+    store serving bitwise equal to live, int8 ΔF1 <= 0.5, and training
+    plus live test scoring >= 10x the int8 store serving time.  A job at
+    >= 10x keeps the sum over jobs at >= 10x too."""
+    scale = dataclasses.replace(Scale.ci(), max_pairs=300, epochs=3)
+    set_scale(scale)
+    dataset = load_dataset(name, scale=scale, dirty=dirty)
+    pairs = list(dataset.split.test)
+
+    started = wall_clock()
+    matcher = HierGAT().fit(dataset)
+    f1_live = matcher.test_f1(dataset)
+    offline_seconds = wall_clock() - started
+    assert f1_live > 0.0, f"{name}: live F1 is 0, the ΔF1 gate is vacuous"
+
+    entities = [e for p in pairs for e in (p.left, p.right)]
+    float32 = build_store(tmp_path / "f32", matcher, entities)
+    int8 = build_store(tmp_path / "int8", matcher, entities, dtype="int8")
+    parity = parity_report(matcher, float32, pairs, batch_size=len(pairs))
+    assert parity["bitwise"], parity
+
+    delta = abs(StoreBackedScorer(matcher, store=int8).test_f1(dataset)
+                - f1_live)
+    assert delta <= 0.5, f"{name}: int8 store ΔF1 {delta:.3f} exceeds 0.5"
+
+    serve_seconds = _timed_serving(
+        StoreBackedScorer(matcher, store=int8, batch_size=len(pairs)), pairs)
+    ratio = offline_seconds / serve_seconds
+    assert ratio >= 10.0, f"{name}: end-to-end {ratio:.1f}x < 10x"
