@@ -29,7 +29,9 @@ site.  Signature rows carry a per-row checksum; a corrupt row detected
 while ranking raises :class:`~repro.reliability.faults.CorruptDataFault`
 internally, the index is rebuilt from its retained records
 (``COUNTERS.blocking_index_rebuilds``), and the query is re-answered from
-the rebuilt index.
+the rebuilt index.  ``checkpoint_state``/``restore`` save and reload an
+index from its records and signature rows without recomputing a signature
+(the streaming resolver's shutdown checkpoint).
 """
 
 from __future__ import annotations
@@ -176,22 +178,49 @@ class _BandedNNIndex(Blocker):
     def _extend(self, entities: List[Entity]) -> None:
         for start in range(0, len(entities), _CHUNK):
             chunk = entities[start:start + _CHUNK]
-            rows, bands = self._signatures(chunk)
-            self._ensure_capacity(len(chunk))
-            base = self._n
-            self._rows[base:base + len(chunk)] = rows
-            # uint64 row checksum (wrapping sum): the cheap read-side
-            # integrity check the corrupt-fault recovery test relies on.
-            self._sums[base:base + len(chunk)] = rows.sum(
-                axis=1, dtype=np.uint64)
-            for record_id, entity, values in zip(
-                    itertools.count(base), chunk, bands.tolist()):
-                for key in enumerate(values):
-                    self._buckets.setdefault(key, []).append(record_id)
-                self._uid_ids.setdefault(entity.uid, []).append(record_id)
-            if self._records is not None:
-                self._records.extend(chunk)
-            self._n += len(chunk)
+            self._append(chunk, *self._signatures(chunk))
+
+    def _append(self, chunk: Sequence[Entity], rows: np.ndarray,
+                bands: np.ndarray) -> None:
+        """Index ``chunk`` under its signature rows and band values."""
+        self._ensure_capacity(len(chunk))
+        base = self._n
+        self._rows[base:base + len(chunk)] = rows
+        # uint64 row checksum (wrapping sum): the cheap read-side
+        # integrity check the corrupt-fault recovery test relies on.
+        self._sums[base:base + len(chunk)] = rows.sum(
+            axis=1, dtype=np.uint64)
+        for record_id, entity, values in zip(
+                itertools.count(base), chunk, bands.tolist()):
+            for key in enumerate(values):
+                self._buckets.setdefault(key, []).append(record_id)
+            self._uid_ids.setdefault(entity.uid, []).append(record_id)
+        if self._records is not None:
+            self._records.extend(chunk)
+        self._n += len(chunk)
+
+    # -- checkpoint -----------------------------------------------------
+    def index_params(self) -> Dict[str, object]:
+        """The constructor parameters a saved index is only valid for."""
+        raise NotImplementedError
+
+    def checkpoint_state(self) -> Tuple[List[Entity], np.ndarray]:
+        """The indexed records and a copy of their signature rows."""
+        return list(self.records), self._rows[:self._n].copy()
+
+    def restore(self, records: Sequence[Entity], rows: np.ndarray) -> None:
+        """Rebuild the index from :meth:`checkpoint_state` output without
+        recomputing a signature: the checksums, bucket table and uid map
+        are derived from the saved rows."""
+        if rows.shape != (len(records), self.row_width):
+            raise ValueError(
+                f"{type(self).__name__}: {rows.shape} signature rows for "
+                f"{len(records)} records of width {self.row_width}")
+        self._reset()
+        for start in range(0, len(records), _CHUNK):
+            chunk_rows = rows[start:start + _CHUNK]
+            self._append(records[start:start + _CHUNK], chunk_rows,
+                         self._band_values(chunk_rows))
 
     # -- querying -------------------------------------------------------
     def candidates(self, record: Entity, k: int = 16) -> List[int]:
@@ -293,6 +322,10 @@ class MinHashLSHBlocker(_BandedNNIndex):
         """P(bucket collision) at Jaccard similarity ``similarity``."""
         return collision_probability(similarity, self.rows_per_band, self.bands)
 
+    def index_params(self) -> Dict[str, object]:
+        return {"seed": self.seed, "num_perm": self.num_perm,
+                "bands": self.bands, "char_ngrams": self.char_ngrams}
+
     # -- signatures -----------------------------------------------------
     def _shingle_hashes(self, entity: Entity) -> np.ndarray:
         text = entity.text()
@@ -377,6 +410,12 @@ class RandomProjectionBlocker(_BandedNNIndex):
         self._token_dirs: Dict[str, np.ndarray] = {}
         self._projection: Optional[np.ndarray] = None
         super().__init__(seed=seed, bands=bands, keep_records=keep_records)
+
+    def index_params(self) -> Dict[str, object]:
+        embed = self.embed_fn
+        return {"seed": self.seed, "planes": self.planes, "bands": self.bands,
+                "embed_fn": None if embed is None else getattr(
+                    embed, "__qualname__", type(embed).__name__)}
 
     # -- embeddings -----------------------------------------------------
     def _token_direction(self, token: str) -> np.ndarray:

@@ -377,9 +377,10 @@ def cmd_resolve(args) -> int:
     The stream parameters are persisted to ``<wal>/stream.json``
     (atomically, tmp + ``os.replace``) so ``--resume`` after a crash —
     including a ``kill -9``, which ``--kill-after`` self-inflicts —
-    regenerates the identical stream, replays the WAL, re-offers the
-    records (already-ingested uids are rejected as duplicates), and ends
-    in a bitwise-identical cluster state: equal digests.
+    regenerates the identical stream, loads the last shutdown checkpoint
+    and replays the WAL after it, re-offers the records
+    (already-ingested uids are rejected as duplicates), and ends in a
+    bitwise-identical cluster state: equal digests.
     """
     import hashlib as _hashlib
     import json as _json
@@ -480,7 +481,7 @@ def cmd_resolve(args) -> int:
     if args.json:
         print(_json.dumps(report, sort_keys=True, indent=2))
     else:
-        mode = f"resumed ({recovered} recovered from WAL)" \
+        mode = f"resumed ({recovered} records recovered)" \
             if args.resume else "fresh"
         print(f"resolve: {mode}")
         print(f"  ingested  {stats['ingested']}")

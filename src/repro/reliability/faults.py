@@ -90,6 +90,8 @@ KNOWN_SITES: Dict[str, str] = {
     "serving.dispatch": "router batch dispatch to a replica (serving/cluster.py)",
     "resolve.wal": "cluster-store WAL segment publication + replay (resolve/wal.py)",
     "resolve.merge": "incremental cluster merge / conflict repair (resolve/store.py)",
+    "resolve.checkpoint": "resolver shutdown-checkpoint write + publication (resolve/wal.py)",
+    "resolve.compact": "deletion of WAL segments a checkpoint covers (resolve/wal.py)",
 }
 
 

@@ -9,7 +9,8 @@ Public surface of the ``repro.resolve`` subsystem (see ``docs/RESOLVE.md``):
 * :class:`~repro.resolve.store.ClusterStore` — incremental partition
   with transitivity-conflict repair and per-merge provenance.
 * :class:`~repro.resolve.wal.WriteAheadLog` — CRC-framed segments with
-  atomic publication; torn tails truncate to the last valid entry.
+  atomic publication; torn tails truncate to the last valid entry; the
+  shutdown checkpoint file and the compaction of the segments it covers.
 * :mod:`~repro.resolve.offline` — the batch-clustering reference and
   exact-match partition metrics the correctness harness compares against.
 """

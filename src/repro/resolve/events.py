@@ -86,12 +86,12 @@ class ReorderBuffer:
       releases immediately, by itself.
     """
 
-    def __init__(self, capacity: int = 64):
+    def __init__(self, capacity: int = 64, next_seq: int = 0):
         if capacity < 1:
             raise ValueError(f"capacity must be >= 1, got {capacity}")
         self.capacity = int(capacity)
         self._held: Dict[int, Entity] = {}
-        self._next_seq = 0
+        self._next_seq = int(next_seq)
 
     def __len__(self) -> int:
         return len(self._held)

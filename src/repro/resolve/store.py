@@ -301,6 +301,50 @@ class ClusterStore:
             components.append(component)
         return components
 
+    # -- checkpoint --------------------------------------------------------
+    def checkpoint_state(self) -> Dict[str, object]:
+        """The retained edges and each record's component root and
+        cluster id, read under one lock (the rest of the state is derived
+        from these on :meth:`restore`)."""
+        with self._lock:
+            return {
+                "edges": list(self._match.values())
+                + list(self._nonmatch.values()),
+                "partition": [(uid, root, self._cluster_of[uid])
+                              for uid, root in self._root.items()],
+            }
+
+    def restore(self, partition: List[List[str]],
+                edges: List[ScoredEdge]) -> None:
+        """Load :meth:`checkpoint_state` output into this empty store: no
+        edge is re-applied and no component re-partitioned.
+
+        A component's constraints are its internal non-match edges, the
+        invariant every mutation above maintains.
+        """
+        with self._lock:
+            if self._root:
+                raise ValueError("restore needs an empty ClusterStore")
+            for uid, root, cluster in partition:
+                self._root[uid] = root
+                self._cluster_of[uid] = cluster
+                self._members.setdefault(root, set()).add(uid)
+                self._match_adj[uid] = set()
+                self._nonmatch_adj[uid] = set()
+            for edge in edges:
+                key = edge.key
+                if edge.kind == "match":
+                    self._match[key] = edge
+                    adjacency = self._match_adj
+                else:
+                    self._nonmatch[key] = edge
+                    adjacency = self._nonmatch_adj
+                    root = self._root[edge.u]
+                    if self._root[edge.v] == root:
+                        self._constraints.setdefault(root, set()).add(key)
+                adjacency[edge.u].add(edge.v)
+                adjacency[edge.v].add(edge.u)
+
     # -- inspection -------------------------------------------------------
     def assign(self, uid: str) -> Optional[str]:
         """The cluster id ``uid`` currently resolves to (None if unknown)."""

@@ -13,13 +13,19 @@ asserted by the unit, fuzz, and chaos-soak suites::
 
     clustered + pending + retracted == ingested
 
-Crash safety: :meth:`StreamingResolver.resume` rebuilds the exact
-pre-crash state from the WAL — ``arrive`` entries re-feed a fresh reorder
-buffer, released records re-apply their logged edges (bitwise provenance,
-no re-scoring), ``retract`` entries apply at their log position, and
-records released but never resolved before the crash are re-scored live
-(the scorer is deterministic, so the continuation matches the
-uninterrupted run).  The ``repro resolve`` CLI layers stream regeneration
+Crash safety: :meth:`StreamingResolver.close` ends with a *shutdown
+checkpoint* — the blocker's records and signature rows, the cluster
+store's edges and partition, and the resolver's sets, tallies and reorder
+cursor in one CRC-checked file — and then deletes the WAL segments it
+covers.  :meth:`StreamingResolver.resume` loads that checkpoint (if any)
+and replays only the WAL written after it: ``arrive`` entries re-feed the
+reorder buffer, released records re-apply their logged edges (bitwise
+provenance, no re-scoring), ``retract`` entries apply at their log
+position, and records released but never resolved before the crash are
+re-scored live (the scorer is deterministic, so the continuation matches
+the uninterrupted run).  Recovery after a clean close therefore reads no
+WAL entry; after a crash it still replays everything logged since the
+last clean close.  The ``repro resolve`` CLI layers stream regeneration
 on top so a ``kill -9`` mid-stream resumes to a bitwise-identical cluster
 state.
 
@@ -175,6 +181,9 @@ class StreamingResolver:
         self._clustered = 0
         self._retracted_n = 0
         self._auto_seq = 0
+        #: Retractions between their tally update and their store
+        #: update; a checkpoint is only taken when there are none.
+        self._retracting = 0
         if quarantine is not None:
             quarantine.subscribe(self._on_retraction)
 
@@ -208,10 +217,21 @@ class StreamingResolver:
         self._pump()
 
     def close(self) -> None:
-        """Drain, then publish the WAL's active segment."""
+        """Drain, publish the WAL's active segment, then write the
+        shutdown checkpoint and delete the segments it covers.
+
+        The checkpoint is published before any segment is deleted, so a
+        crash at any point leaves a consistent (checkpoint, tail) pair.
+        A close that races a retraction from another thread skips the
+        checkpoint; the WAL then keeps its segments.
+        """
         self.drain()
-        if self.wal is not None:
-            self.wal.close()
+        if self.wal is None:
+            return
+        watermark = self.wal.close()
+        parts = self._checkpoint_parts(watermark)
+        if parts is not None and self.wal.write_checkpoint(parts):
+            self.wal.compact(watermark)
 
     # -- retraction ------------------------------------------------------
     def retract(self, uid: str, reason: str = "retracted") -> bool:
@@ -242,11 +262,16 @@ class StreamingResolver:
                 self._retracted.add(uid)
                 self._pending -= 1
                 self._retracted_n += 1
-        if self.wal is not None:
-            self.wal.commit({"type": "retract", "uid": uid,
-                             "reason": reason})
-        if not pending_drop:
-            self.store.retract(uid)
+            self._retracting += 1
+        try:
+            if self.wal is not None:
+                self.wal.commit({"type": "retract", "uid": uid,
+                                 "reason": reason})
+            if not pending_drop:
+                self.store.retract(uid)
+        finally:
+            with self._lock:
+                self._retracting -= 1
         return True
 
     def _on_retraction(self, event) -> None:
@@ -371,6 +396,83 @@ class StreamingResolver:
             "conserved": clustered + pending + retracted == ingested,
         }
 
+    # -- shutdown checkpoint ---------------------------------------------
+    def _binding(self) -> Dict[str, object]:
+        """What a checkpoint is only valid for: seeds and blocker setup."""
+        binding: Dict[str, object] = {
+            "seed": self.config.seed, "store_seed": self.store.seed,
+            "blocker": type(self.blocker).__name__}
+        for name, value in self.blocker.index_params().items():
+            binding[f"blocker.{name}"] = value
+        return binding
+
+    def _checkpoint_parts(self, watermark: int
+                          ) -> Optional[List[Tuple[str, object]]]:
+        """Everything :meth:`resume` rebuilds, read under the resolver
+        lock (file IO happens later, outside it); None unless the
+        resolver is quiescent."""
+        if not hasattr(self.blocker, "checkpoint_state"):
+            return None  # an index without saved signature rows
+        with self._lock:
+            if (self._buffer or self._queue or self._resolving
+                    or self._retracting or self._dropped):
+                return None
+            meta = {
+                "binding": self._binding(), "watermark": watermark,
+                "ingested": self._ingested, "pending": self._pending,
+                "clustered": self._clustered,
+                "retracted": self._retracted_n,
+                "auto_seq": self._auto_seq,
+                "next_seq": self._buffer.next_seq,
+            }
+            seen = list(self._seen)
+            resolved = list(self._resolved)
+            retracted = list(self._retracted)
+            store = self.store.checkpoint_state()
+            records, rows = self.blocker.checkpoint_state()
+        return [
+            ("meta", meta),
+            ("seen", lambda: sorted(seen)),
+            ("resolved", lambda: sorted(resolved)),
+            ("retracted", lambda: sorted(retracted)),
+            ("records", lambda: map(_record_dict, records)),
+            ("rows", rows),
+            ("partition", lambda: store["partition"]),
+            ("edges", lambda: ([edge.u, edge.v, edge.score, edge.kind,
+                                edge.tier, edge.params_version]
+                               for edge in store["edges"])),
+        ]
+
+    def _restore(self, parts: Dict[str, object]) -> int:
+        """Load checkpoint ``parts`` into this fresh resolver; returns
+        the checkpoint's watermark."""
+        meta = parts["meta"]
+        for key, value in self._binding().items():
+            saved = meta["binding"].get(key)
+            if saved != value:
+                raise ValueError(
+                    f"the checkpoint was written with {key}={saved!r}; "
+                    f"this resolver has {key}={value!r}")
+        if len(self.blocker) or len(self.store):
+            raise ValueError("resuming from a checkpoint needs an empty "
+                             "blocker and cluster store")
+        self.store.restore(parts["partition"],
+                           [ScoredEdge(*row) for row in parts["edges"]])
+        self.blocker.restore([_record_from(raw) for raw in parts["records"]],
+                             parts["rows"])
+        with self._lock:
+            self._seen = set(parts["seen"])
+            self._resolved = set(parts["resolved"])
+            self._retracted = set(parts["retracted"])
+            self._ingested = meta["ingested"]
+            self._pending = meta["pending"]
+            self._clustered = meta["clustered"]
+            self._retracted_n = meta["retracted"]
+            self._auto_seq = meta["auto_seq"]
+            self._buffer = ReorderBuffer(self.config.reorder_capacity,
+                                         next_seq=meta["next_seq"])
+        return int(meta["watermark"])
+
     # -- crash resume ----------------------------------------------------
     @classmethod
     def resume(cls, scorer, wal: WriteAheadLog, blocker=None,
@@ -379,16 +481,27 @@ class StreamingResolver:
                quarantine=None) -> "StreamingResolver":
         """Rebuild the exact pre-crash state from ``wal`` and continue.
 
-        Logged resolutions re-apply their edges verbatim (bitwise
-        provenance); the replayed records are then indexed with one
-        ``blocker.add_many`` in log order (no query runs during replay,
-        and ``add`` == rebuild parity makes this the index the live run
-        built); records released but unresolved at the crash are
-        re-scored live after that, in release order.
+        The state starts from the WAL directory's shutdown checkpoint
+        when there is one (``blocker`` and ``store`` must then be empty,
+        and the config seed and blocker parameters must match the
+        checkpoint's, else ``ValueError``); a crash that interrupted the
+        compaction behind it is finished here.  Only the WAL after the
+        checkpoint's watermark is then replayed: logged resolutions
+        re-apply their edges verbatim (bitwise provenance); the replayed
+        records are indexed with one ``blocker.add_many`` in log order
+        (no query runs during replay, and ``add`` == rebuild parity makes
+        this the index the live run built); records released but
+        unresolved at the crash are re-scored live after that, in
+        release order.
         """
-        entries = wal.replay()
         resolver = cls(scorer, blocker=blocker, config=config, wal=None,
                        store=store)
+        watermark = -1
+        checkpoint = wal.read_checkpoint()
+        if checkpoint is not None:
+            watermark = resolver._restore(checkpoint)
+            wal.compact(watermark)
+        entries = wal.replay(after=watermark)
         logged: Dict[str, Dict[str, object]] = {}
         for entry in entries:
             if entry.get("type") == "resolve":

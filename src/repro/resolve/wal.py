@@ -18,29 +18,65 @@ entry (rewriting the damaged file through a ``*.tmp.<pid>`` sibling and
 deleting everything after it), counts the repair in
 ``COUNTERS.wal_truncations``, and returns the surviving prefix.
 
+Segments are numbered from the highest index on disk, so a log whose
+oldest segments were compacted away keeps appending after its tail.
+
+The directory also holds at most one **checkpoint** file
+(``resolver.ckpt``, which the segment scan ignores): a CRC-checked
+snapshot of whatever state its writer passes, plus a *watermark* — the
+last segment the snapshot covers.  :meth:`WriteAheadLog.write_checkpoint`
+streams it to a ``*.tmp.<pid>`` sibling and publishes it with
+``os.replace``; only then does :meth:`WriteAheadLog.compact` delete the
+covered segments, and :meth:`WriteAheadLog.replay` skips any segment at
+or below a watermark, so a crash at any point leaves a consistent
+(checkpoint, tail) pair.
+
 Fault site ``resolve.wal`` instruments every append: ``transient``
 faults are absorbed by retry-with-backoff, ``kill`` simulates dying
 before the entry reached disk (the lost suffix is re-offered on resume),
 and ``corrupt`` writes a torn line so the reader-side truncation path is
-exercised, per the :mod:`repro.reliability.faults` contract.
+exercised, per the :mod:`repro.reliability.faults` contract.  Fault site
+``resolve.checkpoint`` fires once per checkpoint write, with the body on
+disk and the trailer not yet written: ``kill`` leaves an unpublished tmp
+file, and ``corrupt`` tears the tmp file and abandons it.  Fault site
+``resolve.compact`` fires before each covered segment is deleted:
+``kill`` leaves covered segments on disk (replay skips them, the next
+compaction deletes them), and ``corrupt`` tears the covered segment
+instead of deleting it, which replay must never read.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import os
 import weakref
 import zlib
-from typing import IO, Dict, List, Optional, Tuple
+from typing import IO, Callable, Dict, Iterable, List, Optional, Tuple
+
+import numpy as np
 
 from repro.reliability import RetryPolicy, fault_point, retry_with_backoff
 from repro.reliability.counters import COUNTERS
+from repro.reliability.faults import CorruptDataFault
 from repro.reliability.locks import named_lock
 
 #: Published (immutable) segment suffix.
 SEGMENT_SUFFIX = ".seg"
 #: Active (appendable, possibly torn-tailed) segment suffix.
 OPEN_SUFFIX = ".open"
+#: The checkpoint file (no segment suffix, so the scan ignores it).
+CHECKPOINT_NAME = "resolver.ckpt"
+_CHECKPOINT_MAGIC = b"repro-resolve-checkpoint 1\n"
+#: Trailer: CRC32 of every byte before it, as ``"<crc32:08x>\n"``.
+_TRAILER_BYTES = 9
+#: List items serialized per ``json.dumps`` call while streaming a part.
+_JSON_CHUNK = 2048
+
+
+def _segment_index(path: str) -> int:
+    """The ``<index>`` of a ``wal-<index>.seg``/``.open`` path."""
+    return int(os.path.basename(path)[4:].split(".", 1)[0])
 
 
 def encode_entry(entry: Dict[str, object]) -> str:
@@ -90,6 +126,7 @@ class WriteAheadLog:
         #: behind after a ``kill`` fault leaks no file).
         self._handle: Optional[IO[str]] = None
         self._handle_finalizer: Optional[weakref.finalize] = None
+        self._next_index = 0
         os.makedirs(directory, exist_ok=True)
         with self._io:
             self._scan()
@@ -116,7 +153,13 @@ class WriteAheadLog:
         if self._open_path is not None:
             with open(self._open_path, "r", encoding="utf-8") as fh:
                 self._open_count = sum(1 for _ in fh)
-        self._next_index = len(published) + len(open_files)
+        # Number on from the highest name on disk, so a new segment sorts
+        # after the tail when a compaction deleted the oldest ones, and
+        # never below a number handed out before (a truncation repair
+        # may have deleted the newest).
+        self._next_index = max(
+            [self._next_index]
+            + [_segment_index(path) + 1 for path in published + open_files])
 
     def _paths(self) -> List[str]:
         """Every log file in entry order (published first, then active)."""
@@ -183,12 +226,23 @@ class WriteAheadLog:
         self._open_path = None
         self._open_count = 0
 
-    def close(self) -> None:
-        """Publish a non-empty active segment so a clean log is all ``.seg``."""
+    def close(self) -> int:
+        """Publish a non-empty active segment so a clean log is all ``.seg``.
+
+        An empty active file is deleted.  Returns the watermark that
+        covers every entry committed so far: the index of the last
+        segment published (-1 for a log that never had one).
+        """
         with self._io:
-            if self._open_path is not None and self._open_count > 0:
-                self._publish_open()
+            if self._open_path is not None:
+                if self._open_count > 0:
+                    self._publish_open()
+                else:
+                    self._close_handle()
+                    os.remove(self._open_path)
+                    self._open_path = None
             self._close_handle()
+            return self._next_index - 1
 
     def _close_handle(self) -> None:
         if self._handle_finalizer is not None:
@@ -197,18 +251,22 @@ class WriteAheadLog:
         self._handle_finalizer = None
 
     # -- replay ---------------------------------------------------------
-    def replay(self) -> List[Dict[str, object]]:
-        """Read every entry; truncate at the first invalid one.
+    def replay(self, after: int = -1) -> List[Dict[str, object]]:
+        """Read every entry of the segments numbered above ``after``;
+        truncate at the first invalid one.
 
-        Returns the valid prefix.  A detected torn/corrupt entry repairs
-        the log in place — the damaged file is rewritten to its valid
-        prefix through a tmp + ``os.replace``, later files are deleted —
-        and increments ``COUNTERS.wal_truncations`` exactly once.
+        ``after`` is a checkpoint's watermark: the segments it covers are
+        never read, even if a crash left them on disk.  Returns the valid
+        prefix.  A detected torn/corrupt entry repairs the log in place —
+        the damaged file is rewritten to its valid prefix through a tmp +
+        ``os.replace``, later files are deleted — and increments
+        ``COUNTERS.wal_truncations`` exactly once.
         """
         truncated = False
         with self._io:
             entries: List[Dict[str, object]] = []
-            paths = self._paths()
+            paths = [path for path in self._paths()
+                     if _segment_index(path) > after]
             for position, path in enumerate(paths):
                 with open(path, "r", encoding="utf-8") as fh:
                     lines = fh.read().splitlines()
@@ -244,3 +302,141 @@ class WriteAheadLog:
         else:
             os.remove(damaged)
         self._scan()
+
+    # -- checkpoint and compaction ----------------------------------------
+    def write_checkpoint(self, parts: List[Tuple[str, object]]) -> bool:
+        """Stream ``parts`` to the checkpoint file and publish it atomically.
+
+        Each part is a dict (one JSON line), a ``uint64`` array (raw
+        little-endian bytes), or a callable returning an iterable (one
+        JSON array line, serialized a chunk at a time so no whole-file
+        blob is built; a ``transient`` retry calls it again).  Returns
+        False when an injected ``corrupt`` fault tore the tmp file, which
+        is then left unpublished.
+        """
+        path = os.path.join(self.directory, CHECKPOINT_NAME)
+        tmp = f"{path}.tmp.{os.getpid()}"
+        manifest = [[name, "array", list(value.shape)]
+                    if isinstance(value, np.ndarray) else [name, "json"]
+                    for name, value in parts]
+
+        def attempt() -> bool:
+            crc = 0
+            with open(tmp, "wb") as fh:
+                def emit(data) -> None:
+                    nonlocal crc
+                    crc = zlib.crc32(data, crc)
+                    fh.write(data)
+
+                emit(_CHECKPOINT_MAGIC)
+                emit(_json_line(manifest))
+                for _, value in parts:
+                    if isinstance(value, np.ndarray):
+                        emit(np.ascontiguousarray(value, dtype="<u8")
+                             .reshape(-1).view(np.uint8))
+                    elif isinstance(value, dict):
+                        emit(_json_line(value))
+                    else:
+                        _emit_json_array(emit, value())
+                if fault_point("resolve.checkpoint") == "corrupt":
+                    fh.truncate(fh.tell() // 2)
+                    return False
+                fh.write(f"{crc:08x}\n".encode("ascii"))
+            os.replace(tmp, path)
+            return True
+
+        return retry_with_backoff(attempt, policy=self.retry_policy,
+                                  description="WAL checkpoint")
+
+    def read_checkpoint(self) -> Optional[Dict[str, object]]:
+        """The published checkpoint's parts (None if there is none).
+
+        The CRC over the whole file is checked before any part is
+        parsed: a damaged checkpoint raises
+        :class:`~repro.reliability.faults.CorruptDataFault` naming the
+        file and is never loaded partially.
+        """
+        path = os.path.join(self.directory, CHECKPOINT_NAME)
+        try:
+            with open(path, "rb") as fh:
+                data = fh.read()
+        except FileNotFoundError:
+            return None
+        end = len(data) - _TRAILER_BYTES
+        try:
+            crc = int(data[end:end + 8], 16)
+        except ValueError:
+            crc = None
+        if (end < len(_CHECKPOINT_MAGIC)
+                or not data.startswith(_CHECKPOINT_MAGIC)
+                or data[-1:] != b"\n"
+                or crc != zlib.crc32(memoryview(data)[:end])):
+            raise CorruptDataFault(
+                f"checkpoint {path} failed its CRC check; refusing to "
+                f"load it")
+        offset = len(_CHECKPOINT_MAGIC)
+
+        def json_line():
+            nonlocal offset
+            stop = data.index(b"\n", offset, end)
+            value = json.loads(data[offset:stop])
+            offset = stop + 1
+            return value
+
+        parts: Dict[str, object] = {}
+        for spec in json_line():
+            name, kind = spec[0], spec[1]
+            if kind == "array":
+                shape = tuple(spec[2])
+                count = int(np.prod(shape))
+                parts[name] = np.frombuffer(
+                    data, dtype="<u8", count=count,
+                    offset=offset).reshape(shape)
+                offset += 8 * count
+            else:
+                parts[name] = json_line()
+        return parts
+
+    def compact(self, watermark: int) -> None:
+        """Delete the published segments at or below ``watermark``.
+
+        Call only once a checkpoint covering them is published.  Also
+        raises the next segment number above the watermark, so a log
+        compacted to nothing never reuses a covered number.
+        """
+        with self._io:
+            self._next_index = max(self._next_index, watermark + 1)
+            covered = [path for path in self._segments
+                       if _segment_index(path) <= watermark]
+        for path in covered:
+            kind = retry_with_backoff(
+                lambda: fault_point("resolve.compact"),
+                policy=self.retry_policy, description="WAL compaction")
+            with self._io:
+                if kind == "corrupt":
+                    with open(path, "r+b") as fh:
+                        fh.truncate(os.path.getsize(path) // 2)
+                    continue
+                os.remove(path)
+                self._segments.remove(path)
+
+
+def _json_line(value) -> bytes:
+    return (json.dumps(value, sort_keys=True, separators=(",", ":"))
+            + "\n").encode("utf-8")
+
+
+def _emit_json_array(emit: Callable[[bytes], None],
+                     items: Iterable[object]) -> None:
+    """Write ``items`` as one JSON array line, a chunk at a time."""
+    emit(b"[")
+    iterator = iter(items)
+    first = True
+    while True:
+        chunk = list(itertools.islice(iterator, _JSON_CHUNK))
+        if not chunk:
+            break
+        text = json.dumps(chunk, separators=(",", ":"))[1:-1]
+        emit((text if first else "," + text).encode("utf-8"))
+        first = False
+    emit(b"]\n")

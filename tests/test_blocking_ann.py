@@ -249,6 +249,27 @@ class TestAnnQueryPath:
         blocker.add(table[-1])
         assert calls == [1, 1]
 
+    def test_restore_from_checkpoint_state_computes_no_signature(self, factory,
+                                                         monkeypatch):
+        table = _seeded_table(50, seed=8)
+        live = factory().fit(table[:30])
+        records, rows = live.checkpoint_state()
+        restored = factory()
+        calls = self._count_row_batches(monkeypatch, restored)
+        restored.restore(records, rows)
+        assert calls == []
+        assert restored.index_params() == live.index_params()
+        assert _index_state(restored) == _index_state(live)
+        assert [r.uid for r in restored.records] == [r.uid for r in records]
+        restored.add_many(table[30:])
+        live.add_many(table[30:])
+        assert _index_state(restored) == _index_state(live)
+        for record in table[::7]:
+            assert restored.candidates(record, k=5) \
+                == live.candidates(record, k=5)
+        with pytest.raises(ValueError, match="signature rows"):
+            factory().restore(records, rows[:-1])
+
 
 # ======================================================================
 # The blocking.index fault site (R004): detected, counted, recovered

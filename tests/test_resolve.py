@@ -16,6 +16,10 @@ Covers the ``repro.resolve`` package end to end:
 * crash resume: ``kill`` mid-stream, rebuild from the WAL, re-offer the
   stream, and the final cluster state is *bitwise identical* to the
   uninterrupted run — including a chaos soak that kills at many points;
+* the shutdown checkpoint: ``close()`` saves the state and compacts the
+  WAL, ``resume()`` loads it and decodes only the tail, a checkpointed
+  resume continues exactly like an uninterrupted run, and the
+  ``resolve.checkpoint`` / ``resolve.compact`` fault sites;
 * streaming == offline batch clustering on multi-source generated data,
   plus sanity of the exact-match partition metrics against truth;
 * the typed quarantine → retraction wiring (``RetractionEvent``,
@@ -26,18 +30,22 @@ from __future__ import annotations
 
 import gc
 import os
+import sys
+import threading
 import warnings
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 import pytest
 
+from repro.blocking.ann import MinHashLSHBlocker
 from repro.data.generators import generate_source_tables
 from repro.data.magellan import MAGELLAN_DATASETS
 from repro.data.schema import Entity
 from repro.guard import DataFirewall, QuarantineStore, RetractionEvent
 from repro.reliability import (
     COUNTERS,
+    CorruptDataFault,
     FaultPlan,
     FaultSpec,
     RetryPolicy,
@@ -62,6 +70,7 @@ from repro.resolve import (
     partitions_equal,
     truth_partition,
 )
+from repro.resolve import wal as wal_module
 from repro.resolve.stream import ServiceScorer
 
 FAST_RETRY = RetryPolicy(retries=3, base_delay=0.0, max_delay=0.0)
@@ -273,6 +282,29 @@ class TestWriteAheadLog:
         with pytest.raises(ValueError, match="segment_entries"):
             WriteAheadLog(str(tmp_path), segment_entries=0)
 
+    def test_numbering_continues_after_deleted_prefix(self, tmp_path):
+        wal = WriteAheadLog(str(tmp_path), segment_entries=2)
+        for i in range(7):
+            wal.commit({"seq": i})
+        wal.close()
+        for path in wal.segments[:2]:      # a compacted-away prefix
+            os.remove(path)
+        reopened = WriteAheadLog(str(tmp_path), segment_entries=2)
+        reopened.commit({"seq": 7})
+        reopened.close()
+        names = sorted(os.listdir(tmp_path))
+        assert names[-1] == "wal-00000004.seg"   # sorts after the tail
+        assert [e["seq"] for e in reopened.replay()] == [4, 5, 6, 7]
+
+    def test_close_drops_an_empty_active_file(self, tmp_path):
+        (tmp_path / "wal-00000003.open").write_text("")
+        wal = WriteAheadLog(str(tmp_path))
+        assert wal.close() == 3
+        assert os.listdir(tmp_path) == []
+        wal.commit({"seq": 0})
+        assert wal.close() == 4
+        assert os.listdir(tmp_path) == ["wal-00000004.seg"]
+
 
 # ======================================================================
 # Fault site: resolve.wal
@@ -408,6 +440,32 @@ class TestClusterStore:
         store.apply_edge(_match("a", "b", score=0.95))
         retained = {e.key: e for e in store.edges()}
         assert retained[("a", "b")].score == pytest.approx(0.95)
+
+    def test_checkpoint_state_restore_continues_identically(self):
+        rng = np.random.default_rng(3)
+        live = ClusterStore(seed=4, retry_policy=FAST_RETRY)
+        for uid in (f"u{i:03d}" for i in range(30)):
+            live.add_record(uid)
+        for edge in _random_edges(rng, 30, 60):
+            live.apply_edge(edge)
+        live.retract("u007")
+        assert live.stats()["constrained_components"] > 0
+        saved = live.checkpoint_state()
+        restored = ClusterStore(seed=4, retry_policy=FAST_RETRY)
+        restored.restore(saved["partition"], saved["edges"])
+        assert restored.digest() == live.digest()
+        assert restored.stats() == live.stats()
+        assert restored._constraints == live._constraints
+        # Both continue from the same state: more edges and retractions.
+        for store in (live, restored):
+            store.add_record("u999")
+            store.apply_edge(_match("u999", "u001", score=0.99))
+            store.apply_edge(_nonmatch("u999", "u002"))
+            store.retract("u011")
+        assert restored.digest() == live.digest()
+        assert restored._constraints == live._constraints
+        with pytest.raises(ValueError, match="empty"):
+            restored.restore(saved["partition"], saved["edges"])
 
 
 # ======================================================================
@@ -919,3 +977,419 @@ class TestCrashResume:
             stats = _assert_conserved(resumed)
             assert stats["ingested"] == len(records), f"kill@{kill_at}"
             assert resumed.store.digest() == expected, f"kill@{kill_at}"
+
+        # Kills inside the shutdown checkpoint and the compaction behind
+        # it: a first close checkpoints half the stream, the second close
+        # dies.
+        half = len(records) // 2
+        for site, at in (("resolve.checkpoint", 0), ("resolve.compact", 0),
+                         ("resolve.compact", 1)):
+            wal_dir = str(tmp_path / f"soak-{site}-{at}")
+            resolver = _checkpointed(wal_dir, records[:half])
+            for seq, record in enumerate(records[half:], start=half):
+                resolver.offer(record, seq=seq)
+            plan = FaultPlan((FaultSpec(site=site, kind="kill", at=(at,)),))
+            with inject(plan), pytest.raises(TrainingKilled):
+                resolver.close()
+            resumed = _resume(wal_dir)
+            _assert_conserved(resumed)
+            assert resumed.store.digest() == expected, f"{site}@{at}"
+            for seq, record in enumerate(records):
+                resumed.offer(record, seq=seq)
+            resumed.close()
+            stats = _assert_conserved(resumed)
+            assert stats["ingested"] == len(records), f"{site}@{at}"
+            assert resumed.store.digest() == expected, f"{site}@{at}"
+
+
+# ======================================================================
+# Shutdown checkpoint: close() saves the state, resume() loads it and
+# replays only the WAL written after it
+# ======================================================================
+def _wal(wal_dir: str) -> WriteAheadLog:
+    return WriteAheadLog(wal_dir, segment_entries=4, retry_policy=FAST_RETRY)
+
+
+def _checkpointed(wal_dir: str, records: List[Entity],
+                  start: int = 0) -> StreamingResolver:
+    """A resolver that offered ``records`` in order and closed once."""
+    resolver = StreamingResolver(
+        JaccardScorer(), config=ResolveConfig(seed=1), wal=_wal(wal_dir))
+    for seq, record in enumerate(records, start=start):
+        resolver.offer(record, seq=seq)
+    resolver.close()
+    return resolver
+
+
+def _resume(wal_dir: str, **kwargs) -> StreamingResolver:
+    kwargs.setdefault("config", ResolveConfig(seed=1))
+    return StreamingResolver.resume(JaccardScorer(), _wal(wal_dir), **kwargs)
+
+
+def _counting(monkeypatch, name: str) -> List[int]:
+    """Count calls of ``repro.resolve.wal.<name>`` (encode/decode_entry)."""
+    calls = [0]
+    real = getattr(wal_module, name)
+
+    def counted(arg):
+        calls[0] += 1
+        return real(arg)
+
+    monkeypatch.setattr(wal_module, name, counted)
+    return calls
+
+
+def _watermark(wal_dir: str) -> int:
+    return int(_wal(wal_dir).read_checkpoint()["meta"]["watermark"])
+
+
+def _segment_files(wal_dir: str) -> List[str]:
+    return sorted(name for name in os.listdir(wal_dir)
+                  if name.startswith("wal-"))
+
+
+def _assert_same_state(left: StreamingResolver,
+                       right: StreamingResolver) -> None:
+    assert left.store.digest() == right.store.digest()
+    assert _index_state(left.blocker) == _index_state(right.blocker)
+    assert left.stats() == right.stats()
+    assert left.store.stats() == right.store.stats()
+    assert left.store._constraints == right.store._constraints
+
+
+class TestShutdownCheckpoint:
+    @pytest.mark.parametrize("groups", [4, 8])
+    def test_resume_after_clean_close_decodes_no_wal_entry(
+            self, tmp_path, monkeypatch, groups):
+        """close() checkpoints and compacts the whole log, so recovery
+        does not grow with the history: the same zero entries decoded for
+        a stream twice as long."""
+        records = _group_stream(groups=groups, views=3)
+        wal_dir = str(tmp_path / "wal")
+        live = _checkpointed(wal_dir, records)
+        assert _segment_files(wal_dir) == [] and live.wal.segments == ()
+        assert wal_module.CHECKPOINT_NAME in os.listdir(wal_dir)
+        decoded = _counting(monkeypatch, "decode_entry")
+        resumed = _resume(wal_dir)
+        assert decoded[0] == 0
+        _assert_same_state(resumed, live)
+
+    def test_resume_after_a_crash_decodes_only_the_tail(
+            self, tmp_path, monkeypatch):
+        records = _group_stream(groups=6, views=3)
+        wal_dir = str(tmp_path / "wal")
+        live = _checkpointed(wal_dir, records[:9])
+        encoded = _counting(monkeypatch, "encode_entry")
+        for seq, record in enumerate(records[9:], start=9):
+            live.offer(record, seq=seq)
+        # Crash: the resolver is abandoned without close().
+        assert encoded[0] == 2 * len(records[9:])   # arrive + resolve
+        decoded = _counting(monkeypatch, "decode_entry")
+        resumed = _resume(wal_dir)
+        assert decoded[0] == encoded[0]
+        _assert_same_state(resumed, live)
+
+    def test_torn_tail_after_checkpoint_numbers_above_watermark(
+            self, tmp_path):
+        records = _group_stream(groups=4, views=3)
+        expected = _run_stream(
+            records, WriteAheadLog(str(tmp_path / "clean")))[0].store.digest()
+        wal_dir = str(tmp_path / "wal")
+        crashed = _checkpointed(wal_dir, records[:6])
+        watermark = _watermark(wal_dir)
+        with inject(FaultPlan((FaultSpec(site="resolve.wal", kind="corrupt",
+                                         at=(0,)),))):
+            crashed.offer(records[6], seq=6)     # lands as a torn line
+        # The repair deletes the whole tail file; the next segment must
+        # still be numbered above the checkpoint's watermark.
+        resumed = _resume(wal_dir)
+        assert COUNTERS.as_dict()["wal_truncations"] == 1
+        for seq, record in enumerate(records[6:], start=6):
+            resumed.offer(record, seq=seq)
+        assert min(map(wal_module._segment_index,
+                       _segment_files(wal_dir))) > watermark
+        again = _resume(wal_dir)                 # crash, no close
+        assert again.store.digest() == expected
+        _assert_conserved(again)
+
+    def test_continuation_after_resume_matches_uninterrupted_run(
+            self, tmp_path):
+        spec = MAGELLAN_DATASETS["Amazon-Google"].spec
+        tables, _ = generate_source_tables(
+            spec, 30, seed=9, sources=("s0", "s1", "s2"), overlap=0.7)
+        records = [r for source in sorted(tables) for r in tables[source]]
+        config = ResolveConfig(match_threshold=0.35, nonmatch_threshold=0.05,
+                               reorder_capacity=6, seed=9)
+        half = len(records) // 2
+        # The first half leaves every fifth seq unoffered, so the close
+        # skips past those gaps; the second half offers them late, behind
+        # the saved reorder cursor, interleaved with out-of-order seqs.
+        first = [(seq, records[seq]) for seq in range(half) if seq % 5]
+        late = [(seq, records[seq]) for seq in range(half) if not seq % 5]
+        rng = np.random.default_rng(2)
+        rest = [(int(seq), records[seq])
+                for seq in rng.permutation(np.arange(half, len(records)))]
+        second = [item for pair in zip(rest, late) for item in pair] \
+            + rest[len(late):]
+        held = [record.uid for _, record in first[::4]]
+
+        def phase_one(resolver: StreamingResolver) -> None:
+            for seq, record in first:
+                resolver.offer(record, seq=seq)
+            resolver.close()
+
+        def phase_two(resolver: StreamingResolver) -> None:
+            for seq, record in second:
+                resolver.offer(record, seq=seq)
+            for uid in held:                  # records the checkpoint holds
+                assert resolver.retract(uid, reason="late-quarantine")
+            assert resolver.offer(_entity("extra", "no seq given"))
+            # The CLI's re-offer of the whole stream: all duplicates.
+            assert not any(resolver.offer(record, seq=seq)
+                           for seq, record in enumerate(records))
+            resolver.close()
+
+        def fresh(name: str) -> StreamingResolver:
+            return StreamingResolver(JaccardScorer(), config=config,
+                                     wal=_wal(str(tmp_path / name)))
+
+        uninterrupted = fresh("live")
+        phase_one(uninterrupted)
+        phase_one(fresh("ckpt"))
+        resumed = StreamingResolver.resume(
+            JaccardScorer(), _wal(str(tmp_path / "ckpt")), config=config)
+        assert resumed.stats() == uninterrupted.stats()
+        phase_two(uninterrupted)
+        phase_two(resumed)
+        _assert_same_state(resumed, uninterrupted)
+        assert resumed.stats()["retracted"] == len(held)
+        # ...and the second checkpoint resumes to the same state again.
+        again = StreamingResolver.resume(
+            JaccardScorer(), _wal(str(tmp_path / "ckpt")), config=config)
+        _assert_same_state(again, uninterrupted)
+
+    def test_close_racing_a_retraction_skips_the_checkpoint(self, tmp_path):
+        records = _group_stream(groups=3, views=2)
+        wal_dir = str(tmp_path / "wal")
+        resolver = StreamingResolver(
+            JaccardScorer(), config=ResolveConfig(seed=1), wal=_wal(wal_dir))
+        for seq, record in enumerate(records):
+            resolver.offer(record, seq=seq)
+        store_retract = resolver.store.retract
+
+        def retract_during_close(uid: str) -> bool:
+            # The retraction has logged its entry but not yet reached the
+            # store: a checkpoint now would save a half-applied state.
+            resolver.close()
+            return store_retract(uid)
+
+        resolver.store.retract = retract_during_close
+        resolver.retract("g1v0")
+        assert wal_module.CHECKPOINT_NAME not in os.listdir(wal_dir)
+        resumed = _resume(wal_dir)               # full replay
+        assert resumed.store.digest() == resolver.store.digest()
+        assert resumed.stats() == resolver.stats()
+
+    def test_closes_racing_retraction_threads_stay_consistent(self,
+                                                              tmp_path):
+        """Retraction threads run while the stream thread closes (and so
+        checkpoints) again and again; every resume from what is on disk
+        equals the live state."""
+        records = _group_stream(groups=12, views=3)
+        wal_dir = str(tmp_path / "wal")
+        resolver = StreamingResolver(
+            JaccardScorer(), config=ResolveConfig(seed=1), wal=_wal(wal_dir))
+        for seq, record in enumerate(records):
+            resolver.offer(record, seq=seq)
+        victims = [record.uid for record in records[::2]]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            workers = [threading.Thread(
+                target=lambda uids=victims[i::4]: [resolver.retract(uid)
+                                                   for uid in uids])
+                for i in range(4)]
+            for worker in workers:
+                worker.start()
+            for _ in range(20):
+                resolver.close()
+            for worker in workers:
+                worker.join(timeout=30)
+            assert not any(worker.is_alive() for worker in workers)
+        finally:
+            sys.setswitchinterval(interval)
+        assert resolver.stats()["retracted"] == len(victims)
+        resolver.close()
+        _assert_same_state(_resume(wal_dir), resolver)
+
+    def test_blocker_without_saved_rows_keeps_the_full_log(self, tmp_path):
+        from repro.blocking.keyword import OverlapBlocker
+
+        records = _group_stream(groups=3, views=2)
+        wal_dir = str(tmp_path / "wal")
+        resolver = StreamingResolver(
+            JaccardScorer(), blocker=OverlapBlocker().fit([]),
+            config=ResolveConfig(seed=1), wal=_wal(wal_dir))
+        for seq, record in enumerate(records):
+            resolver.offer(record, seq=seq)
+        resolver.close()
+        assert wal_module.CHECKPOINT_NAME not in os.listdir(wal_dir)
+        resumed = _resume(wal_dir, blocker=OverlapBlocker().fit([]))
+        assert resumed.store.digest() == resolver.store.digest()
+
+    def test_resume_rejects_a_mismatched_binding(self, tmp_path):
+        wal_dir = str(tmp_path / "wal")
+        _checkpointed(wal_dir, _group_stream(groups=2, views=2))
+        with pytest.raises(ValueError, match="seed=1.*seed=2"):
+            _resume(wal_dir, config=ResolveConfig(seed=2))
+        with pytest.raises(ValueError, match="blocker.bands=16.*bands=8"):
+            _resume(wal_dir, blocker=MinHashLSHBlocker(seed=1, bands=8))
+        with pytest.raises(ValueError, match="store_seed"):
+            _resume(wal_dir, store=ClusterStore(seed=5))
+        filled = MinHashLSHBlocker(seed=1).fit([_entity("x", "text")])
+        with pytest.raises(ValueError, match="empty"):
+            _resume(wal_dir, blocker=filled)
+
+
+class TestCheckpointFaultSites:
+    """``resolve.checkpoint`` and ``resolve.compact``: every fault
+    resumes to the uninterrupted digest with conservation intact."""
+
+    @pytest.fixture
+    def stream(self, tmp_path):
+        records = _group_stream(groups=4, views=3)
+        expected = _run_stream(
+            records, WriteAheadLog(str(tmp_path / "clean")))[0]
+        return records, expected.store.digest()
+
+    def _second_close(self, wal_dir: str, records: List[Entity],
+                      plan: FaultPlan) -> StreamingResolver:
+        """Checkpoint the first half, offer the rest, close under ``plan``."""
+        half = len(records) // 2
+        resolver = _checkpointed(wal_dir, records[:half])
+        for seq, record in enumerate(records[half:], start=half):
+            resolver.offer(record, seq=seq)
+        with inject(plan):
+            resolver.close()
+        return resolver
+
+    def _assert_recovers(self, wal_dir: str, records: List[Entity],
+                         expected: str) -> StreamingResolver:
+        resumed = _resume(wal_dir)
+        _assert_conserved(resumed)
+        assert resumed.store.digest() == expected
+        for seq, record in enumerate(records):
+            resumed.offer(record, seq=seq)
+        resumed.close()
+        stats = _assert_conserved(resumed)
+        assert stats["ingested"] == len(records)
+        assert resumed.store.digest() == expected
+        return resumed
+
+    def test_kill_during_write_keeps_previous_checkpoint_and_tail(
+            self, tmp_path, stream, monkeypatch):
+        records, expected = stream
+        wal_dir = str(tmp_path / "wal")
+        plan = FaultPlan((FaultSpec(site="resolve.checkpoint", kind="kill",
+                                    at=(0,)),))
+        with pytest.raises(TrainingKilled):
+            self._second_close(wal_dir, records, plan)
+        assert plan.fired("resolve.checkpoint", "kill")
+        first = _watermark(wal_dir)
+        # The whole tail behind the first checkpoint is still on disk.
+        tail = _wal(wal_dir).replay(after=first)
+        assert len(tail) == 2 * (len(records) - len(records) // 2)
+        decoded = _counting(monkeypatch, "decode_entry")
+        self._assert_recovers(wal_dir, records, expected)
+        assert decoded[0] == len(tail)
+
+    def test_kill_before_compaction_reapplies_no_covered_entry(
+            self, tmp_path, stream, monkeypatch):
+        records, expected = stream
+        wal_dir = str(tmp_path / "wal")
+        plan = FaultPlan((FaultSpec(site="resolve.compact", kind="kill",
+                                    at=(0,)),))
+        with pytest.raises(TrainingKilled):
+            self._second_close(wal_dir, records, plan)
+        covered = _segment_files(wal_dir)
+        assert covered       # published, but nothing deleted yet
+        assert max(map(wal_module._segment_index, covered)) \
+            == _watermark(wal_dir)
+        decoded = _counting(monkeypatch, "decode_entry")
+        resumed = _resume(wal_dir)
+        assert decoded[0] == 0
+        assert resumed.store.digest() == expected
+        assert _segment_files(wal_dir) == []    # resume finished the job
+        _assert_conserved(resumed)
+
+    def test_corrupt_write_leaves_an_unpublished_torn_tmp(self, tmp_path,
+                                                          stream):
+        records, expected = stream
+        wal_dir = str(tmp_path / "wal")
+        plan = FaultPlan((FaultSpec(site="resolve.checkpoint", kind="corrupt",
+                                    at=(0,)),))
+        resolver = self._second_close(wal_dir, records, plan)
+        assert plan.fired("resolve.checkpoint", "corrupt")
+        tmp = [n for n in os.listdir(wal_dir) if ".tmp." in n]
+        assert tmp == [f"{wal_module.CHECKPOINT_NAME}.tmp.{os.getpid()}"]
+        published = os.path.join(wal_dir, wal_module.CHECKPOINT_NAME)
+        assert os.path.getsize(os.path.join(wal_dir, tmp[0])) \
+            < os.path.getsize(published)
+        # The first checkpoint stays; nothing it does not cover was deleted.
+        assert _watermark(wal_dir) < resolver.wal.close()
+        assert len(_wal(wal_dir).replay(after=_watermark(wal_dir))) > 0
+        self._assert_recovers(wal_dir, records, expected)
+        assert not [n for n in os.listdir(wal_dir) if ".tmp." in n]
+
+    def test_corrupt_compaction_tears_a_covered_segment_never_read(
+            self, tmp_path, stream):
+        records, expected = stream
+        wal_dir = str(tmp_path / "wal")
+        plan = FaultPlan((FaultSpec(site="resolve.compact", kind="corrupt",
+                                    at=(0,)),))
+        self._second_close(wal_dir, records, plan)
+        assert len(_segment_files(wal_dir)) == 1          # the torn one
+        # The resume's own compaction tears it again instead of deleting
+        # it; replay still skips it.
+        again = FaultPlan((FaultSpec(site="resolve.compact", kind="corrupt",
+                                     at=(0,)),))
+        with inject(again):
+            resumed = _resume(wal_dir)
+        assert again.fired("resolve.compact", "corrupt")
+        assert len(_segment_files(wal_dir)) == 1
+        assert resumed.store.digest() == expected
+        self._assert_recovers(wal_dir, records, expected)
+        assert _segment_files(wal_dir) == []
+        assert COUNTERS.as_dict()["wal_truncations"] == 0
+
+    def test_transient_faults_are_absorbed(self, tmp_path, stream):
+        records, expected = stream
+        wal_dir = str(tmp_path / "wal")
+        plan = FaultPlan((
+            FaultSpec(site="resolve.checkpoint", kind="transient", at=(0,)),
+            FaultSpec(site="resolve.compact", kind="transient", at=(0,))))
+        self._second_close(wal_dir, records, plan)
+        assert plan.fired("resolve.checkpoint", "transient")
+        assert plan.fired("resolve.compact", "transient")
+        assert COUNTERS.as_dict()["transient_retries"] >= 2
+        assert _segment_files(wal_dir) == []
+        self._assert_recovers(wal_dir, records, expected)
+
+    def test_checkpoint_failing_its_crc_is_never_loaded(self, tmp_path):
+        wal_dir = str(tmp_path / "wal")
+        _checkpointed(wal_dir, _group_stream(groups=3, views=2))
+        path = os.path.join(wal_dir, wal_module.CHECKPOINT_NAME)
+        with open(path, "r+b") as fh:
+            fh.seek(os.path.getsize(path) // 2)
+            byte = fh.read(1)
+            fh.seek(-1, os.SEEK_CUR)
+            fh.write(bytes([byte[0] ^ 0xFF]))
+        blocker = MinHashLSHBlocker(seed=1)
+        store = ClusterStore(seed=1)
+        with pytest.raises(CorruptDataFault, match=path):
+            _resume(wal_dir, blocker=blocker, store=store)
+        assert len(blocker) == 0 and len(store) == 0
+        with open(path, "r+b") as fh:
+            fh.truncate(4)
+        with pytest.raises(CorruptDataFault, match="CRC"):
+            _resume(wal_dir)
