@@ -25,14 +25,13 @@ lint:
 # batch coalescing, and zero lock-order violations / unguarded
 # shared-state writes), a fast
 # firewall fuzz smoke (corrupted bytes through ingestion + serving,
-# asserting no crash and record conservation), and an embedding-store
-# smoke: build a tiny shard set, score the test split from it, and assert
-# bitwise store/live parity plus full store coverage (`embed --verify`
-# exits non-zero on either), a blocking smoke (1k synthetic records;
-# an ANN blocker must reach pair-completeness >= 0.9 at >= 5x reduction),
-# and a streaming-resolution smoke (~500-record multi-source stream:
-# streaming must equal offline batch clustering exactly, and a SIGKILLed
-# `repro resolve` run must resume to a bitwise-identical cluster state).
+# asserting no crash and record conservation), an embedding-store smoke
+# (build a tiny shard set, score the test split from it, and assert
+# bitwise store/live parity plus full store coverage: `embed --verify`
+# exits non-zero on either), and a streaming-resolution smoke (~500-record
+# multi-source stream: streaming must equal offline batch clustering
+# exactly, and a SIGKILLed `repro resolve` run must resume to a
+# bitwise-identical cluster state).
 # Right after lint, `repro lockgraph` checks the static lock graph against
 # LOCK_HIERARCHY and exits 1 on a cycle.
 ci: lint
@@ -45,7 +44,6 @@ ci: lint
 	PYTHONPATH=src $(PYTHON) -m repro embed --dataset Beer --fast \
 		--store .repro-ci-store --verify
 	rm -rf .repro-ci-store
-	PYTHONPATH=src $(PYTHON) benchmarks/run_block.py --smoke
 	PYTHONPATH=src $(PYTHON) benchmarks/run_resolve.py --smoke
 
 # Line coverage of src/repro over the fast tier (tools/cov.py uses
@@ -55,8 +53,9 @@ coverage:
 
 # Full pre-merge gate: the unit suite, the benchmark's self-tests (its
 # percentile, gate and tracer arithmetic), coverage floors on the analysis
-# package (the lint rules + sanitizers must themselves stay well-tested)
-# and the resolve package (the crash-safety layer likewise),
+# package (the lint rules + sanitizers must themselves stay well-tested),
+# the resolve package (the crash-safety layer likewise) and the blocking
+# package (the candidate generator every resolver and service query uses),
 # plus a profiled end-to-end smoke run.
 check:
 	$(PYTHON) -m pytest tests/ -q
@@ -66,6 +65,9 @@ check:
 		-q -m "not slow"
 	PYTHONPATH=src $(PYTHON) tools/cov.py --package resolve --min 90 \
 		tests/test_resolve.py -q -m "not slow"
+	PYTHONPATH=src $(PYTHON) tools/cov.py --package blocking --min 90 \
+		tests/test_blocking_ann.py tests/test_blocking_contract.py \
+		tests/test_blocking.py -q -m "not slow"
 	$(PYTHON) -m repro profile --dataset Beer --fast --top 5
 
 bench:

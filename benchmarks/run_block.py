@@ -17,8 +17,10 @@ typos — so ground truth is known):
 Usage:
     python benchmarks/run_block.py             # both tiers, writes JSON
     python benchmarks/run_block.py --tier 10k  # one tier
-    python benchmarks/run_block.py --smoke     # CI: 1k records, asserts
-                                               # PC >= 0.9 at >= 5x, no JSON
+
+The 1k-record CI gate (an ANN blocker reaches PC >= 0.9 at >= 5x) is
+``TestLSHRecallBound::test_smoke_tier_reaches_pc_at_reduction`` in
+``tests/test_blocking_ann.py``.
 """
 
 import argparse
@@ -29,37 +31,6 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 OUTPUT = REPO_ROOT / "BENCH_block.json"
 
 KS = (4, 8, 16, 32)
-
-
-def _tables(num_index, num_queries, seed, vocab=None):
-    """Synthetic index table + corrupted-copy query table with truth."""
-    import numpy as np
-
-    from repro.data.dirty import dirty_entity
-    from repro.data.schema import Entity
-    from repro.guard.perturb import perturb_entity
-
-    vocab = vocab or max(num_index // 2, 200)
-    rng = np.random.default_rng(seed)
-    names = rng.integers(0, vocab, size=(num_index, 5))
-    brands = rng.integers(0, max(vocab // 50, 10), size=num_index)
-    models = rng.integers(0, vocab * 4, size=num_index)
-    table = [
-        Entity.from_dict(f"b{i}", {
-            "title": " ".join(f"w{t}" for t in names[i]),
-            "brand": f"brand{brands[i]}",
-            "model": f"m{models[i]}",
-        })
-        for i in range(num_index)
-    ]
-    picks = rng.choice(num_index, size=num_queries, replace=False)
-    queries, truth = [], []
-    for qi, j in enumerate(picks):
-        noisy = dirty_entity(table[j], rng, injection_prob=0.3)
-        noisy = perturb_entity(noisy, "typo", rng)
-        queries.append(Entity.from_dict(f"a{qi}", dict(noisy.attributes)))
-        truth.append((qi, int(j)))
-    return table, queries, truth
 
 
 def _blockers(seed):
@@ -111,9 +82,11 @@ def _curve(blocker, table, queries, truth, ks, query_cap):
 
 
 def run_10k(num_index, num_queries, seed):
+    from repro.blocking.evaluation import corrupted_copy_tables
     from repro.perf.profiler import wall_clock
 
-    table, queries, truth = _tables(num_index, num_queries, seed)
+    table, queries, truth = corrupted_copy_tables(num_index, num_queries,
+                                                  seed)
     curves = {}
     for name, (blocker, is_ann) in sorted(_blockers(seed).items()):
         # The classic blockers score/walk far more per query; cap their
@@ -206,35 +179,12 @@ def run_1m(num_records, seed, chunk=20_000):
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--smoke", action="store_true",
-                        help="CI gate: 1k records, assert PC >= 0.9 at "
-                             ">= 5x reduction; does not write JSON")
     parser.add_argument("--tier", default="10k,1m",
                         help="comma-separated tiers to run: 10k, 1m")
     parser.add_argument("--records", type=int, default=1_000_000,
                         help="record count for the 1m tier")
     parser.add_argument("--seed", type=int, default=1234)
     args = parser.parse_args()
-
-    if args.smoke:
-        print("smoke tier: 1k records, LSH + RP ...", flush=True)
-        tier = run_10k(num_index=1000, num_queries=300, seed=args.seed)
-        ok = False
-        for name in ("lsh", "rp"):
-            for point in tier["curves"][name]["points"]:
-                if point["pair_completeness"] >= 0.9 \
-                        and point["reduction_factor"] >= 5:
-                    ok = True
-                    print(f"PASS {name} k={point['k']}: "
-                          f"PC={point['pair_completeness']} at "
-                          f"{point['reduction_factor']}x")
-                    break
-            if ok:
-                break
-        if not ok:
-            print("FAIL: no ANN blocker reached PC >= 0.9 at >= 5x")
-            return 1
-        return 0
 
     tiers = [t.strip() for t in args.tier.split(",") if t.strip()]
     payload = {"experiment": "blocking", "seed": args.seed, "tiers": {}}

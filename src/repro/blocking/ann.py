@@ -85,10 +85,10 @@ class _BandedNNIndex(Blocker):
 
     Subclasses define a fixed-width ``uint64`` signature row per record
     (:meth:`_row_batch`), how rows map to band bucket values
-    (:meth:`_band_values`), and how collided rows are ranked against a
-    query row (:meth:`_similarity`).  This base owns the growable row
-    matrix, the per-row checksums, the bucket table, incremental ``add``,
-    and the corrupt-index → rebuild recovery path.
+    (:meth:`_band_values`), and how many components of a collided row
+    agree with a query row (:meth:`_agreement`).  This base owns the
+    growable row matrix, the per-row checksums, the bucket table,
+    incremental ``add``, and the corrupt-index → rebuild recovery path.
     """
 
     #: uint64 columns per signature row (set by subclass __init__).
@@ -109,8 +109,8 @@ class _BandedNNIndex(Blocker):
         """(n, bands) uint64 bucket values for signature rows."""
         raise NotImplementedError
 
-    def _similarity(self, rows: np.ndarray, qrow: np.ndarray) -> np.ndarray:
-        """Ranking scores (higher = closer) of ``rows`` against ``qrow``."""
+    def _agreement(self, rows: np.ndarray, qrow: np.ndarray) -> np.ndarray:
+        """int64 counts of agreeing components (higher = closer)."""
         raise NotImplementedError
 
     # -- state ----------------------------------------------------------
@@ -248,31 +248,32 @@ class _BandedNNIndex(Blocker):
                                        enumerate(qbands.tolist())) if ids]
         if not collided:
             return []
-        ids_arr = np.fromiter(itertools.chain.from_iterable(collided),
-                              dtype=np.int64,
-                              count=sum(map(len, collided)))
-        ids_arr.sort()
-        first = np.ones(len(ids_arr), dtype=bool)
-        first[1:] = ids_arr[1:] != ids_arr[:-1]
-        ids_arr = ids_arr[first]
+        ids = np.fromiter(itertools.chain.from_iterable(collided),
+                          dtype=np.int64, count=sum(map(len, collided)))
+        ids.sort()
+        first = np.ones(len(ids), dtype=bool)
+        np.not_equal(ids[1:], ids[:-1], out=first[1:])
+        ids = ids[first]
         own = self._uid_ids.get(uid)
         if own:
-            ids_arr = ids_arr[~np.isin(ids_arr, own)]
-        if not len(ids_arr):
+            ids = ids[np.isin(ids, own, invert=True)]
+        if not len(ids):
             return []
-        rows = self._rows[ids_arr]
-        if not np.array_equal(rows.sum(axis=1, dtype=np.uint64),
-                              self._sums[ids_arr]):
+        rows = self._rows.take(ids, axis=0)
+        # Unsigned adds wrap mod 2^64 in any order, so this equals the
+        # checksum ``_append`` stored.
+        if not np.array_equal(np.einsum("ij->i", rows),
+                              self._sums.take(ids)):
             raise CorruptDataFault(
                 f"{type(self).__name__}: signature-row checksum mismatch "
                 f"(index corrupt); rebuilding from retained records")
-        if len(ids_arr) > k:
-            sims = self._similarity(rows, qrow)
-            # Membership of the top-k set is decided by (similarity desc,
-            # index asc); emission is sorted by index (R001).
-            order = np.lexsort((ids_arr, -sims))
-            ids_arr = np.sort(ids_arr[order[:k]])
-        return [int(j) for j in ids_arr]
+        if len(ids) > k:
+            # Top-k by (agreement desc, index asc) in one int64 key; ids are
+            # unique and < n.  Emission is sorted by index (R001).
+            n = self._n
+            key = ids - self._agreement(rows, qrow) * n
+            ids = np.sort(np.partition(key, k - 1)[:k] % n)
+        return ids.tolist()
 
     # -- recovery -------------------------------------------------------
     def _rebuild(self) -> None:
@@ -291,8 +292,8 @@ class MinHashLSHBlocker(_BandedNNIndex):
     ``num_perm`` hash permutations are simulated with seeded multiply-shift
     universal hashing over stable 64-bit token hashes; signatures are banded
     into ``bands`` bands of ``num_perm // bands`` rows.  Candidates are
-    records sharing at least one band bucket, ranked by estimated Jaccard
-    similarity (fraction of agreeing signature components).
+    records sharing at least one band bucket, ranked by how many signature
+    components agree (``num_perm`` × the estimated Jaccard similarity).
 
     Parameter guidance (see docs/BLOCKING.md): more bands → higher recall
     at lower precision; :meth:`collision_probability` gives the exact
@@ -343,34 +344,33 @@ class MinHashLSHBlocker(_BandedNNIndex):
     def _row_batch(self, entities: Sequence[Entity]) -> np.ndarray:
         hash_arrays = [self._shingle_hashes(e) for e in entities]
         lengths = np.array([len(h) for h in hash_arrays], dtype=np.int64)
-        starts = np.zeros(len(entities), dtype=np.int64)
-        np.cumsum(lengths[:-1], out=starts[1:])
-        if lengths.sum() == 0:
-            return np.full((len(entities), self.num_perm), _EMPTY_SIG,
-                           dtype=np.uint64)
-        concat = np.concatenate([h for h in hash_arrays if len(h)])
+        sigs = np.full((len(entities), self.num_perm), _EMPTY_SIG,
+                       dtype=np.uint64)
         # (T, P) multiply-shift values; uint64 arithmetic wraps mod 2^64.
-        vals = (concat[:, None] * self._mult[None, :]
-                + self._offset[None, :]) >> np.uint64(33)
-        # Sentinel row of uint64-max so the trailing reduceat segment and
-        # zero-length segments never contribute a real minimum.
-        vals = np.concatenate(
-            [vals, np.full((1, self.num_perm), np.iinfo(np.uint64).max,
-                           dtype=np.uint64)])
-        sigs = np.minimum.reduceat(vals, starts, axis=0)
-        sigs[lengths == 0] = _EMPTY_SIG
+        vals = (np.concatenate(hash_arrays)[:, None] * self._mult
+                + self._offset) >> np.uint64(33)
+        # One minimum per non-empty record, over its own segment of vals.
+        nonempty = lengths > 0
+        sigs[nonempty] = np.minimum.reduceat(
+            vals, (np.cumsum(lengths) - lengths)[nonempty], axis=0)
         return sigs
 
     def _band_values(self, rows: np.ndarray) -> np.ndarray:
         r = self.rows_per_band
         chunks = rows.reshape(len(rows), self.bands, r)
-        folded = np.broadcast_to(_FNV_OFFSET, (len(rows), self.bands)).copy()
-        for i in range(r):
-            folded = (folded ^ chunks[:, :, i]) * _FNV_PRIME
+        folded = chunks[:, :, 0] ^ _FNV_OFFSET
+        folded *= _FNV_PRIME
+        for i in range(1, r):
+            folded ^= chunks[:, :, i]
+            folded *= _FNV_PRIME
         return folded
 
-    def _similarity(self, rows: np.ndarray, qrow: np.ndarray) -> np.ndarray:
-        return (rows == qrow[None, :]).mean(axis=1)
+    def _agreement(self, rows: np.ndarray, qrow: np.ndarray) -> np.ndarray:
+        # Equal components as bool bytes, counted a word at a time: the
+        # widest unsigned word (<= 8 bytes) that divides the row width.
+        width = min(self.num_perm & -self.num_perm, 8)
+        equal = (rows == qrow).view(np.dtype(f"u{width}"))
+        return np.einsum("ij->i", np.bitwise_count(equal).astype(np.int64))
 
 
 class RandomProjectionBlocker(_BandedNNIndex):
@@ -474,7 +474,6 @@ class RandomProjectionBlocker(_BandedNNIndex):
     def _band_values(self, rows: np.ndarray) -> np.ndarray:
         return rows[:, :self.bands]
 
-    def _similarity(self, rows: np.ndarray, qrow: np.ndarray) -> np.ndarray:
-        hamming = np.bitwise_count(
-            rows[:, self.bands:] ^ qrow[None, self.bands:]).sum(axis=1)
-        return (self.planes - hamming).astype(np.float64)
+    def _agreement(self, rows: np.ndarray, qrow: np.ndarray) -> np.ndarray:
+        differ = np.bitwise_count(rows[:, self.bands:] ^ qrow[self.bands:])
+        return self.planes - np.einsum("ij->i", differ.astype(np.int64))

@@ -9,7 +9,9 @@ contain most of the matching entities").
 from __future__ import annotations
 
 import dataclasses
-from typing import Iterable, Sequence, Set, Tuple
+from typing import Iterable, List, Sequence, Set, Tuple
+
+import numpy as np
 
 from repro.data.schema import Entity
 
@@ -50,6 +52,39 @@ def evaluate_blocker(
         num_candidates=len(candidate_set),
         num_true_matches=len(truth),
     )
+
+
+def corrupted_copy_tables(num_index: int, num_queries: int, seed: int
+                          ) -> Tuple[List[Entity], List[Entity],
+                                     List[Tuple[int, int]]]:
+    """Synthetic blocking benchmark: an index table, queries that are
+    corrupted copies of some of its records (``data/dirty.py`` attribute
+    injection plus ``guard.perturb`` typos), and the ``(query, index)``
+    true-match pairs."""
+    from repro.data.dirty import dirty_entity
+    from repro.guard.perturb import perturb_entity
+
+    vocab = max(num_index // 2, 200)
+    rng = np.random.default_rng(seed)
+    names = rng.integers(0, vocab, size=(num_index, 5))
+    brands = rng.integers(0, max(vocab // 50, 10), size=num_index)
+    models = rng.integers(0, vocab * 4, size=num_index)
+    table = [
+        Entity.from_dict(f"b{i}", {
+            "title": " ".join(f"w{t}" for t in names[i]),
+            "brand": f"brand{brands[i]}",
+            "model": f"m{models[i]}",
+        })
+        for i in range(num_index)
+    ]
+    picks = rng.choice(num_index, size=num_queries, replace=False)
+    queries, truth = [], []
+    for qi, j in enumerate(picks):
+        noisy = dirty_entity(table[j], rng, injection_prob=0.3)
+        noisy = perturb_entity(noisy, "typo", rng)
+        queries.append(Entity.from_dict(f"a{qi}", dict(noisy.attributes)))
+        truth.append((qi, int(j)))
+    return table, queries, truth
 
 
 def tfidf_candidates(table_a: Sequence[Entity], table_b: Sequence[Entity],

@@ -9,12 +9,17 @@ index is *detected* (checksum mismatch), *counted*
 retained records.  Plus the pipeline / serving swap-point integration.
 """
 
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.blocking import (MinHashLSHBlocker, RandomProjectionBlocker,
-                            collision_probability)
+                            collision_probability, evaluate_blocker)
+from repro.blocking.evaluation import corrupted_copy_tables
+from repro.data.di2kg import di2kg_spec
+from repro.data.generators import generate_source_tables
 from repro.data.schema import Entity, EntityPair
 from repro.guard.perturb import KINDS, perturb_entity
 from repro.matchers.base import Matcher
@@ -90,6 +95,22 @@ class TestLSHRecallBound:
         # this configuration collides with probability ≥ 0.98.
         assert close_total > 100
         assert close_hits / close_total >= 0.9
+
+    def test_smoke_tier_reaches_pc_at_reduction(self):
+        # The 1k-record blocking gate: on corrupted-copy queries, the
+        # MinHash/LSH curve keeps pair completeness >= 0.9 at a >= 5x
+        # reduction of the query x index cross product, at every k.
+        table, queries, truth = corrupted_copy_tables(1000, 300, seed=1234)
+        blocker = MinHashLSHBlocker(seed=1234, num_perm=32, bands=16)
+        blocker.fit(table)
+        for k in (4, 8, 16, 32):
+            pairs = [(qi, j) for qi, record in enumerate(queries)
+                     for j in blocker.candidates(record, k=k)]
+            quality = evaluate_blocker(pairs, truth, (300, 1000))
+            assert quality.num_true_matches == 300
+            assert quality.pairs_completeness >= 0.9, (k, str(quality))
+            assert 300 * 1000 / quality.num_candidates >= 5, (k, str(quality))
+            assert quality.harmonic_mean >= 0.9
 
     def test_collision_probability_curve(self):
         blocker = MinHashLSHBlocker(seed=0, num_perm=32, bands=16)
@@ -168,12 +189,25 @@ class TestAnnFuzz:
 ANN_FACTORIES = [
     lambda: MinHashLSHBlocker(seed=4, num_perm=32, bands=16),
     lambda: RandomProjectionBlocker(seed=4, planes=64, bands=8),
+    # Row widths that are not a multiple of 8 (MinHash) or of 64 (RP).
+    lambda: MinHashLSHBlocker(seed=4, num_perm=12, bands=4),
+    lambda: RandomProjectionBlocker(seed=4, planes=48, bands=6),
 ]
+ANN_IDS = ["lsh", "rp", "lsh-12x4", "rp-48x6"]
+
+
+def _agreement(blocker, row, qrow):
+    """Agreeing signature components, counted in plain Python: equal
+    minhash values, or equal code bits of a projection code."""
+    if isinstance(blocker, MinHashLSHBlocker):
+        return sum(a == b for a, b in zip(row.tolist(), qrow.tolist()))
+    words = zip(row[blocker.bands:].tolist(), qrow[blocker.bands:].tolist())
+    return blocker.planes - sum(bin(a ^ b).count("1") for a, b in words)
 
 
 def _brute_force_candidates(blocker, record, k):
     """Reference: every indexed row whose bands meet the query's, minus
-    the query's uid by a per-id comparison, top-k by (similarity, id)."""
+    the query's uid by a per-id comparison, top-k by (agreement, id)."""
     qrow = blocker._row_batch([record])[0]
     qbands = blocker._band_values(qrow[None, :])[0]
     indexed = list(blocker.records)
@@ -181,11 +215,8 @@ def _brute_force_candidates(blocker, record, k):
     bands = blocker._band_values(rows)
     ids = [j for j in range(len(indexed))
            if (bands[j] == qbands).any() and indexed[j].uid != record.uid]
-    if len(ids) > k:
-        sims = blocker._similarity(rows[ids], qrow)
-        ranked = sorted(range(len(ids)), key=lambda i: (-sims[i], ids[i]))
-        ids = sorted(ids[i] for i in ranked[:k])
-    return ids
+    ranked = sorted(ids, key=lambda j: (-_agreement(blocker, rows[j], qrow), j))
+    return sorted(ranked[:k])
 
 
 def _index_state(blocker):
@@ -194,17 +225,23 @@ def _index_state(blocker):
             blocker._buckets)
 
 
-@pytest.mark.parametrize("factory", ANN_FACTORIES, ids=["lsh", "rp"])
+@pytest.mark.parametrize("factory", ANN_FACTORIES, ids=ANN_IDS)
 class TestAnnQueryPath:
     def test_candidates_match_brute_force_with_repeated_uids(self, factory):
         table = _seeded_table(60, seed=4, vocab=30, tokens=6)
         # One uid indexed twice with different text, one twice verbatim.
         table += [_record("r3", table[5].text()), table[7]]
+        # Exact ties: five more copies of one text; and records with no
+        # shingles.
+        table += [_record(f"dup{i}", table[11].text()) for i in range(5)]
+        table += [_record("e0", ""), _record("e1", "")]
         blocker = factory().fit(table)
         queries = table + [_record("r3", table[3].text()),
-                           _record("fresh", table[9].text())]
+                           _record("fresh", table[9].text()),
+                           _record("empty", "")]
         for record in queries:
-            for k in (2, 8, len(table)):
+            # k = len(table) is at least every collided set.
+            for k in (1, 2, 8, len(table)):
                 assert blocker.candidates(record, k=k) \
                     == _brute_force_candidates(blocker, record, k)
 
@@ -269,6 +306,31 @@ class TestAnnQueryPath:
                 == live.candidates(record, k=5)
         with pytest.raises(ValueError, match="signature rows"):
             factory().restore(records, rows[:-1])
+
+
+#: sha256 of the candidate lists below: any change to which candidates a
+#: query returns changes it.
+GOLDEN_CANDIDATES_SHA256 = \
+    "3006eea00acf527817b6012c884abd753f0f3e7e2d3b2957326acef554180807"
+
+
+def test_golden_candidate_digest_on_di2kg_cameras():
+    """2k DI2KG camera records from 24 sources, streamed through MinHash
+    as ``candidates(k=8)`` then ``add`` (the streaming resolver's order)."""
+    sources = tuple(f"site{i:02d}" for i in range(24))
+    tables, _ = generate_source_tables(di2kg_spec("camera"), 300, seed=7,
+                                       sources=sources, overlap=0.3)
+    pool = [record for source in sorted(tables) for record in tables[source]]
+    order = np.random.default_rng(7).permutation(len(pool))[:2000]
+    blocker = MinHashLSHBlocker(seed=0)
+    digest, total = hashlib.sha256(), 0
+    for record in (pool[i] for i in order):
+        found = blocker.candidates(record, k=8)
+        total += len(found)
+        digest.update(repr(found).encode())
+        blocker.add(record)
+    assert total == 15380  # nearly every query fills its k = 8
+    assert digest.hexdigest() == GOLDEN_CANDIDATES_SHA256
 
 
 # ======================================================================
