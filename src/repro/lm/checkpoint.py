@@ -11,7 +11,8 @@ large-scale pre-training.  Offline we reproduce that pipeline shape:
    transfer learning Brunner & Stockinger 2020 showed works for ER),
    bootstrapped from PPMI+SVD corpus embeddings.
 3. The resulting weights are cached under ``.lm_cache/`` keyed by
-   architecture, so every experiment pays the pre-training cost once.
+   architecture, steps, seed and default dtype, so every experiment pays
+   the pre-training cost once.
 
 Fine-tuning per dataset then mirrors the paper's Section 5.3 training
 process: "This process combines the training of [the model] with the
@@ -28,7 +29,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.autograd import Tensor, functional as F
+from repro.autograd import Tensor, functional as F, get_default_dtype
 from repro.autograd.optim import Adam, clip_grad_norm
 from repro.config import Scale, get_scale
 from repro.data.schema import EntityPair
@@ -105,8 +106,16 @@ class SequencePairClassifier(Module):
 
 
 def _cache_key(name: str, scale: Scale, steps: int) -> str:
+    """Name every input of :func:`_pretrain`: architecture, steps, seed and
+    the default dtype its layers are built in, plus a code-version suffix.
+
+    A checkpoint pre-trained under float64 or another seed has different
+    weights, so it must never be read back under this process's key.
+    """
     spec = LANGUAGE_MODELS[name]
-    raw = f"{name}-d{spec.dim(scale)}-l{spec.layers(scale)}-h{scale.num_heads}-t{scale.max_tokens}-s{steps}-v6"
+    dtype = np.dtype(get_default_dtype()).name
+    raw = (f"{name}-d{spec.dim(scale)}-l{spec.layers(scale)}-h{scale.num_heads}"
+           f"-t{scale.max_tokens}-s{steps}-seed{scale.seed}-{dtype}-v6")
     return hashlib.blake2b(raw.encode(), digest_size=8).hexdigest() + "-" + raw
 
 

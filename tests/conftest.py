@@ -35,9 +35,14 @@ def rng():
     return np.random.default_rng(0)
 
 
-@pytest.fixture(scope="session")
+@pytest.fixture
 def f64():
-    """Switch the default dtype to float64 for gradient checks."""
+    """Switch the default dtype to float64 for gradient checks.
+
+    Function-scoped: the default dtype is process-global, so the teardown
+    must restore it after each test, or every later module would run in
+    float64 instead of the documented float32.
+    """
     from repro.autograd import get_default_dtype, set_default_dtype
 
     previous = get_default_dtype()

@@ -1,12 +1,26 @@
 """Tests for the simulated pre-trained language models."""
 
+import contextlib
+
 import numpy as np
 import pytest
 
+from repro.autograd import get_default_dtype, set_default_dtype
 from repro.config import Scale
 from repro.lm import CorpusEmbeddings, LANGUAGE_MODELS, load_language_model, mlm_warmup
 from repro.lm.registry import LM_SWEEP
 from repro.text.vocab import Vocabulary
+
+
+@contextlib.contextmanager
+def _default_dtype(dtype):
+    """Switch the process-global default dtype, restoring it on exit."""
+    previous = get_default_dtype()
+    set_default_dtype(dtype)
+    try:
+        yield
+    finally:
+        set_default_dtype(previous)
 
 
 @pytest.fixture
@@ -132,6 +146,30 @@ class TestCheckpoint:
         ck._memory_cache.clear()  # force the disk path
         lm2, _ = ck.load_checkpoint("distilbert", scale=scale, steps=3)
         np.testing.assert_array_equal(lm1.embedding.weight.data, lm2.embedding.weight.data)
+
+    def test_checkpoint_key_separates_default_dtypes(self, tmp_path, monkeypatch):
+        """A float64 pre-training must never be read back by a float32 run."""
+        monkeypatch.setenv("REPRO_LM_CACHE", str(tmp_path))
+        from repro.lm import checkpoint as ck
+
+        scale = Scale.ci()
+        ck._memory_cache.clear()
+        with _default_dtype(np.float64):
+            ck.load_checkpoint("distilbert", scale=scale, steps=3)
+        with _default_dtype(np.float32):
+            ck.load_checkpoint("distilbert", scale=scale, steps=3)
+            assert len(list(tmp_path.glob("*.npz"))) == 2
+            ck._memory_cache.clear()  # force the disk path
+            from_disk, _ = ck.load_checkpoint("distilbert", scale=scale, steps=3)
+
+            monkeypatch.setenv("REPRO_LM_CACHE", str(tmp_path / "empty"))
+            ck._memory_cache.clear()
+            fresh, _ = ck.load_checkpoint("distilbert", scale=scale, steps=3)
+        got, want = from_disk.state_dict(), fresh.state_dict()
+        assert got.keys() == want.keys()
+        for name in want:
+            assert got[name].dtype == np.float32
+            np.testing.assert_array_equal(got[name], want[name], err_msg=name)
 
     def test_global_vocabulary_has_specials_and_size(self):
         from repro.lm.checkpoint import global_vocabulary
