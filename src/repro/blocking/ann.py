@@ -121,11 +121,12 @@ class _BandedNNIndex(Blocker):
         self._buckets: Dict[Tuple[int, int], List[int]] = {}
         #: uid -> indices of the records indexed under it (self-exclusion).
         self._uid_ids: Dict[str, List[int]] = {}
-        #: ``(record, params_version, rows, bands)`` of the last query, so
-        #: the ``candidates(r)`` → ``add(r)`` sequence of a streaming
-        #: resolver computes the signature once (rows are a pure function
-        #: of the record and the weights, see :meth:`_row_batch`).
-        self._last: Optional[Tuple[Entity, int, np.ndarray, np.ndarray]] = None
+        #: ``(records, params_version, rows, bands)`` of the last query, so
+        #: the ``candidates_many(rs)`` → ``add_many(rs)`` sequence of a
+        #: streaming resolver computes the signatures once (rows are a pure
+        #: function of the record and the weights, see :meth:`_row_batch`).
+        self._last: Optional[
+            Tuple[List[Entity], int, np.ndarray, np.ndarray]] = None
         self._records: Optional[List[Entity]] = [] if self.keep_records else None
 
     @property
@@ -166,10 +167,10 @@ class _BandedNNIndex(Blocker):
 
     def _signatures(self, chunk: List[Entity]
                     ) -> Tuple[np.ndarray, np.ndarray]:
-        """Signature rows and band values of ``chunk``; a lone record
-        equal to the last query's reuses that query's."""
+        """Signature rows and band values of ``chunk``; the records of
+        the last query reuse that query's."""
         last = self._last
-        if (last is not None and len(chunk) == 1 and last[0] == chunk[0]
+        if (last is not None and last[0] == chunk
                 and last[1] == params_version()):
             return last[2], last[3]
         rows = self._row_batch(chunk)
@@ -224,9 +225,26 @@ class _BandedNNIndex(Blocker):
 
     # -- querying -------------------------------------------------------
     def candidates(self, record: Entity, k: int = 16) -> List[int]:
+        return self.candidates_many([record], k)[0]
+
+    def candidates_many(self, records: Sequence[Entity],
+                        k: int = 16) -> List[List[int]]:
+        """Candidates of each record as if the records before it in
+        ``records`` were already indexed.
+
+        Entry i equals ``candidates(records[i], k)`` after
+        ``add(records[0]) … add(records[i-1])``: an id ``len(self) + j``
+        names ``records[j]``, the index its ``add`` will give it.  One
+        signature batch, one fault check and one pass over the collided
+        rows serve the whole group, and an ``add_many(records)`` right
+        after reuses the signatures.
+        """
         if k <= 0:
             raise ValueError("k must be >= 1")
-        rows = self._row_batch([record])
+        records = list(records)
+        if not records:
+            return []
+        rows = self._row_batch(records)
         bands = self._band_values(rows)
         kind = fault_point("blocking.index", op="query", size=self._n)
         if kind == "corrupt":
@@ -234,31 +252,62 @@ class _BandedNNIndex(Blocker):
             # own data so the *reader-side* detection path is exercised.
             if self._n:
                 self._rows[:self._n] ^= _CORRUPT_MASK
+        uids = [record.uid for record in records]
         try:
-            found = self._query(rows[0], bands[0], record.uid, k)
+            found = self._query(rows, bands, uids, k)
         except CorruptDataFault:
             self._rebuild()
-            found = self._query(rows[0], bands[0], record.uid, k)
-        self._last = (record, params_version(), rows, bands)
+            found = self._query(rows, bands, uids, k)
+        self._last = (records, params_version(), rows, bands)
         return found
 
-    def _query(self, qrow: np.ndarray, qbands: np.ndarray, uid: str,
-               k: int) -> List[int]:
-        collided = [ids for ids in map(self._buckets.get,
-                                       enumerate(qbands.tolist())) if ids]
-        if not collided:
-            return []
-        ids = np.fromiter(itertools.chain.from_iterable(collided),
-                          dtype=np.int64, count=sum(map(len, collided)))
-        ids.sort()
-        first = np.ones(len(ids), dtype=bool)
-        np.not_equal(ids[1:], ids[:-1], out=first[1:])
-        ids = ids[first]
-        own = self._uid_ids.get(uid)
+    def _query(self, qrows: np.ndarray, qbands: np.ndarray,
+               uids: List[str], k: int) -> List[List[int]]:
+        n, size = self._n, len(qrows)
+        # Every (member i, id) pair is one int64 key ``i * span + id``:
+        # ids (indexed, or ``n + j`` for member j) are < span, so one sort
+        # groups the keys by member and orders each member's ids.
+        span = n + size
+        get = self._buckets.get
+        collided: List[List[int]] = []
+        counts: List[int] = []
+        for values in qbands.tolist():
+            hit = [ids for ids in map(get, enumerate(values)) if ids]
+            collided.extend(hit)
+            counts.append(sum(map(len, hit)))
+        keys = np.fromiter(itertools.chain.from_iterable(collided),
+                           dtype=np.int64, count=sum(counts))
+        if size > 1:
+            keys += np.repeat(np.arange(0, size * span, span), counts)
+            # Earlier members whose bands meet member i's: the buckets
+            # their ``add`` would have put them in.
+            meet = (qbands[:, None, :] == qbands[None, :, :]).any(axis=2)
+            member, earlier = np.nonzero(np.tril(meet, -1))
+            if len(member):
+                keys = np.concatenate((keys, member * span + n + earlier))
+                # The slots ``_append`` fills for the group, so one take
+                # and one checksum pass cover members and indexed rows.
+                self._ensure_capacity(size)
+                self._rows[n:span] = qrows
+                self._sums[n:span] = qrows.sum(axis=1, dtype=np.uint64)
+        keys.sort()
+        first = np.ones(len(keys), dtype=bool)
+        np.not_equal(keys[1:], keys[:-1], out=first[1:])
+        keys = keys[first]
+        # Self-exclusion: records indexed under the member's uid, and
+        # earlier members with the same uid.
+        own: List[int] = []
+        group_ids: Dict[str, List[int]] = {}
+        for i, uid in enumerate(uids):
+            mine = group_ids.setdefault(uid, [])
+            for ids in (self._uid_ids.get(uid, ()), mine):
+                own.extend(i * span + j for j in ids)
+            mine.append(n + i)
         if own:
-            ids = ids[np.isin(ids, own, invert=True)]
-        if not len(ids):
-            return []
+            keys = keys[np.isin(keys, own, invert=True)]
+        if not len(keys):
+            return [[] for _ in uids]
+        ids = keys % span
         rows = self._rows.take(ids, axis=0)
         # Unsigned adds wrap mod 2^64 in any order, so this equals the
         # checksum ``_append`` stored.
@@ -267,13 +316,21 @@ class _BandedNNIndex(Blocker):
             raise CorruptDataFault(
                 f"{type(self).__name__}: signature-row checksum mismatch "
                 f"(index corrupt); rebuilding from retained records")
-        if len(ids) > k:
-            # Top-k by (agreement desc, index asc) in one int64 key; ids are
-            # unique and < n.  Emission is sorted by index (R001).
-            n = self._n
-            key = ids - self._agreement(rows, qrow) * n
-            ids = np.sort(np.partition(key, k - 1)[:k] % n)
-        return ids.tolist()
+        bounds = np.searchsorted(
+            keys, np.arange(0, (size + 1) * span, span)).tolist()
+        found: List[List[int]] = []
+        for i, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
+            if hi - lo > k:
+                # Top-k by (agreement desc, index asc) in one int64 key;
+                # a member's ids are unique and < span.  Emission is
+                # sorted by index (R001).
+                key = ids[lo:hi] - self._agreement(rows[lo:hi],
+                                                   qrows[i]) * span
+                found.append(np.sort(np.partition(key, k - 1)[:k]
+                                     % span).tolist())
+            else:
+                found.append(ids[lo:hi].tolist())
+        return found
 
     # -- recovery -------------------------------------------------------
     def _rebuild(self) -> None:

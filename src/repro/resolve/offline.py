@@ -33,9 +33,10 @@ def generate_stream_edges(records: Sequence[Entity], scorer, blocker,
                           ) -> List[ScoredEdge]:
     """The exact edge sequence a streaming run over ``records`` produces.
 
-    Mirrors the resolver's per-record loop — candidates from the index
-    built so far, score, threshold, then index the record — without any
-    incremental cluster maintenance.
+    One record at a time — candidates from the index built so far,
+    score, threshold, then index the record — without any incremental
+    cluster maintenance: the per-record reference the resolver's group
+    resolution must equal.
     """
     edges: List[ScoredEdge] = []
     for record in records:

@@ -3,10 +3,15 @@
 :class:`StreamingResolver` answers the production question "which
 resolved entity does this record join?" under a continuous, out-of-order,
 sometimes-retracted record stream.  Each offered record is write-ahead
-logged, reordered (:class:`~repro.resolve.events.ReorderBuffer`), blocked
-against the records indexed so far, scored, thresholded into match /
-non-match edges, logged again as one atomic ``resolve`` entry, and folded
-into the :class:`~repro.resolve.store.ClusterStore`.
+logged and reordered (:class:`~repro.resolve.events.ReorderBuffer`).  The
+records released together then resolve as one group: blocked against the
+records indexed so far and the group members before them (one
+``candidates_many`` query), scored in one scorer call, thresholded into
+match / non-match edges, logged as one atomic ``resolve`` entry each in
+one group commit, and folded into the
+:class:`~repro.resolve.store.ClusterStore` in release order.  The result
+is the one per-record resolution in release order would give, byte for
+byte in the WAL.
 
 Conservation invariant, enforced by :meth:`StreamingResolver.stats` and
 asserted by the unit, fuzz, and chaos-soak suites::
@@ -46,7 +51,7 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
-from repro.blocking.ann import MinHashLSHBlocker
+from repro.blocking.ann import MinHashLSHBlocker, _BandedNNIndex
 from repro.data.schema import Entity, EntityPair
 from repro.reliability.locks import named_lock
 from repro.resolve.events import RecordArrival, ReorderBuffer, ScoredEdge
@@ -160,10 +165,17 @@ class StreamingResolver:
                  wal: Optional[WriteAheadLog] = None,
                  store: Optional[ClusterStore] = None,
                  quarantine=None):
+        if blocker is None:
+            blocker = MinHashLSHBlocker(seed=config.seed).fit([])
+        elif not isinstance(blocker, _BandedNNIndex):
+            raise TypeError(
+                f"StreamingResolver needs a banded ANN index "
+                f"(MinHashLSHBlocker or RandomProjectionBlocker) for its "
+                f"group queries and checkpoints, got "
+                f"{type(blocker).__name__}")
         self.scorer = scorer
         self.config = config
-        self.blocker = blocker if blocker is not None \
-            else MinHashLSHBlocker(seed=config.seed).fit([])
+        self.blocker = blocker
         self.wal = wal
         self.store = store if store is not None \
             else ClusterStore(seed=config.seed)
@@ -171,7 +183,9 @@ class StreamingResolver:
         self._buffer = ReorderBuffer(config.reorder_capacity)
         self._queue: List[RecordArrival] = []
         self._resolving = False
-        self._inflight: Optional[str] = None
+        #: uids of the group being resolved (retractions of these land
+        #: right after the group's ``resolve`` entries).
+        self._inflight: Set[str] = set()
         self._seen: Set[str] = set()
         self._resolved: Set[str] = set()
         self._retracted: Set[str] = set()
@@ -239,15 +253,16 @@ class StreamingResolver:
 
         A pending record is dropped at release; a clustered record is
         removed from the store with its edges.  A record mid-resolution
-        is retracted by the resolution worker as soon as it lands.
+        is retracted by the resolution worker as soon as its group lands.
         """
         with self._lock:
             if uid not in self._seen or uid in self._retracted \
                     or uid in self._dropped:
                 return False
-            if self._inflight == uid:
+            if uid in self._inflight:
                 # Mid-resolution: the pump applies the retraction (and
-                # writes the WAL entry) right after the resolve entry.
+                # writes the WAL entry) right after the group's resolve
+                # entries.
                 self._dropped.add(uid)
                 return True
             if uid in self._resolved:
@@ -280,90 +295,104 @@ class StreamingResolver:
 
     # -- resolution pipeline ---------------------------------------------
     def _pump(self) -> None:
-        """Resolve released records FIFO; one worker at a time, no lock
+        """Resolve released records in release order, everything released
+        since the last group as one group; one worker at a time, no lock
         held across scoring, WAL, or store work."""
         while True:
             with self._lock:
                 if self._resolving:
                     return
-                arrival = None
-                while self._queue:
-                    candidate = self._queue.pop(0)
-                    if candidate.record.uid in self._dropped:
+                group: List[Entity] = []
+                for arrival in self._queue:
+                    uid = arrival.record.uid
+                    if uid in self._dropped:
                         # Retracted while pending: counted at retract time.
-                        self._dropped.discard(candidate.record.uid)
-                        continue
-                    arrival = candidate
-                    break
-                if arrival is None:
+                        self._dropped.discard(uid)
+                    else:
+                        group.append(arrival.record)
+                self._queue.clear()
+                if not group:
                     return
                 self._resolving = True
-                self._inflight = arrival.record.uid
+                self._inflight = {record.uid for record in group}
             try:
-                self._resolve_one(arrival.record)
+                self._resolve_group(group)
             finally:
                 with self._lock:
                     self._resolving = False
-                    self._inflight = None
+                    self._inflight = set()
 
-    def _score_edges(self, record: Entity) -> List[ScoredEdge]:
-        """Block + score + threshold one record against the index."""
+    def _score_group(self, group: List[Entity]) -> List[List[ScoredEdge]]:
+        """Block + score + threshold each group member against the index
+        and the members before it."""
         indexed = self.blocker.records
-        candidates = self.blocker.candidates(record,
+        n = len(indexed)
+        found = self.blocker.candidates_many(group,
                                              k=self.config.candidates_k)
         with self._lock:
             gone = self._retracted | self._dropped
-        partners = [indexed[j] for j in candidates
-                    if indexed[j].uid != record.uid
-                    and indexed[j].uid not in gone]
-        if not partners:
-            return []
+        partners = [[partner for partner in (
+            indexed[j] if j < n else group[j - n] for j in ids)
+            if partner.uid not in gone] for ids in found]
         pairs = [EntityPair(left=record, right=partner, label=0)
-                 for partner in partners]
-        scores = np.asarray(self.scorer.scores(pairs), dtype=np.float64)
+                 for record, mine in zip(group, partners)
+                 for partner in mine]
+        if not pairs:
+            return [[] for _ in group]
+        scores = np.asarray(self.scorer.scores(pairs),
+                            dtype=np.float64).tolist()
         tier = str(getattr(self.scorer, "tier", "scorer"))
         params_version = str(getattr(self.scorer, "params_version", "v0"))
-        edges: List[ScoredEdge] = []
-        for partner, score in zip(partners, scores):
-            if score >= self.config.match_threshold:
-                kind = "match"
-            elif score <= self.config.nonmatch_threshold:
-                kind = "nonmatch"
-            else:
-                continue
-            edges.append(ScoredEdge(
-                u=record.uid, v=partner.uid, score=float(score), kind=kind,
-                tier=tier, params_version=params_version))
+        match, nonmatch = (self.config.match_threshold,
+                           self.config.nonmatch_threshold)
+        edges: List[List[ScoredEdge]] = []
+        at = 0
+        for record, mine in zip(group, partners):
+            kept: List[ScoredEdge] = []
+            for partner, score in zip(mine, scores[at:at + len(mine)]):
+                if score >= match:
+                    kind = "match"
+                elif score <= nonmatch:
+                    kind = "nonmatch"
+                else:
+                    continue
+                kept.append(ScoredEdge(
+                    u=record.uid, v=partner.uid, score=score, kind=kind,
+                    tier=tier, params_version=params_version))
+            edges.append(kept)
+            at += len(mine)
         return edges
 
-    def _resolve_one(self, record: Entity) -> None:
-        edges = self._score_edges(record)
+    def _resolve_group(self, group: List[Entity]) -> None:
+        edges = self._score_group(group)
         if self.wal is not None:
-            self.wal.commit({"type": "resolve", "uid": record.uid,
-                             "edges": [edge.to_dict() for edge in edges]})
-        self._apply_resolution(record, edges)
+            self.wal.commit_many(
+                {"type": "resolve", "uid": record.uid,
+                 "edges": [edge.to_dict() for edge in record_edges]}
+                for record, record_edges in zip(group, edges))
+        self.blocker.add_many(group)  # repro: noqa[R007] -- index add serialized by the single resolution worker (_pump)
+        for record, record_edges in zip(group, edges):
+            self._apply_edges(record, record_edges)
         with self._lock:
-            self._resolved.add(record.uid)
-            self._pending -= 1
-            self._clustered += 1
-            retract_now = record.uid in self._dropped
-            if retract_now:
-                self._dropped.discard(record.uid)
-                self._resolved.discard(record.uid)
-                self._retracted.add(record.uid)
-                self._clustered -= 1
-                self._retracted_n += 1
-        if retract_now:
-            # Retraction raced the resolution: land it right behind.
+            self._resolved.update(record.uid for record in group)
+            self._pending -= len(group)
+            self._clustered += len(group)
+            raced = [record.uid for record in group
+                     if record.uid in self._dropped]
+            for uid in raced:
+                self._dropped.discard(uid)
+                self._resolved.discard(uid)
+                self._retracted.add(uid)
+            self._clustered -= len(raced)
+            self._retracted_n += len(raced)
+        if raced:
+            # Retractions raced the resolution: land them right behind.
             if self.wal is not None:
-                self.wal.commit({"type": "retract", "uid": record.uid,
-                                 "reason": "retracted"})
-            self.store.retract(record.uid)
-
-    def _apply_resolution(self, record: Entity,
-                          edges: List[ScoredEdge]) -> None:
-        self.blocker.add(record)  # repro: noqa[R007] -- index add serialized by the single resolution worker (_pump)
-        self._apply_edges(record, edges)
+                self.wal.commit_many(
+                    {"type": "retract", "uid": uid, "reason": "retracted"}
+                    for uid in raced)
+            for uid in raced:
+                self.store.retract(uid)
 
     def _apply_edges(self, record: Entity,
                      edges: List[ScoredEdge]) -> None:
@@ -411,8 +440,6 @@ class StreamingResolver:
         """Everything :meth:`resume` rebuilds, read under the resolver
         lock (file IO happens later, outside it); None unless the
         resolver is quiescent."""
-        if not hasattr(self.blocker, "checkpoint_state"):
-            return None  # an index without saved signature rows
         with self._lock:
             if (self._buffer or self._queue or self._resolving
                     or self._retracting or self._dropped):

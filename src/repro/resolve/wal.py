@@ -2,7 +2,9 @@
 
 The log is a directory of segment files.  Entries append to the active
 ``wal-<index>.open`` file (one CRC32-framed JSON line per entry, flushed
-per append through one handle kept open while the segment is active);
+once per commit through one handle kept open while the segment is
+active; :meth:`WriteAheadLog.commit_many` writes a group of entries with
+one flush);
 when a segment reaches ``segment_entries`` entries it is *published* —
 atomically renamed to ``wal-<index>.seg`` via ``os.replace``, the same
 tmp-then-replace discipline as ``repro.store``.
@@ -31,7 +33,8 @@ covered segments, and :meth:`WriteAheadLog.replay` skips any segment at
 or below a watermark, so a crash at any point leaves a consistent
 (checkpoint, tail) pair.
 
-Fault site ``resolve.wal`` instruments every append: ``transient``
+Fault site ``resolve.wal`` fires once per entry, also inside a group
+commit: ``transient``
 faults are absorbed by retry-with-backoff, ``kill`` simulates dying
 before the entry reached disk (the lost suffix is re-offered on resume),
 and ``corrupt`` writes a torn line so the reader-side truncation path is
@@ -184,38 +187,55 @@ class WriteAheadLog:
 
     # -- append ---------------------------------------------------------
     def commit(self, entry: Dict[str, object]) -> None:
-        """Durably append one entry (flushed before returning).
+        """Durably append one entry (flushed before returning)."""
+        self.commit_many([entry])
 
-        ``transient`` faults retry, ``kill`` propagates before any bytes
-        land (the entry is simply lost, like a real pre-write crash), and
-        ``corrupt`` tears the written line so replay must truncate.
+    def commit_many(self, entries: Iterable[Dict[str, object]]) -> None:
+        """Durably append ``entries`` in order with one write and one
+        flush (group commit).
+
+        The ``resolve.wal`` fault point fires once per entry, in order,
+        so the bytes on disk are those of one :meth:`commit` per entry:
+        ``transient`` faults retry that entry, ``kill`` propagates with
+        the entries before it written and flushed and none after it (the
+        killed entry is simply lost, like a real pre-write crash), and
+        ``corrupt`` tears that entry's line so replay must truncate.
         """
-        line = encode_entry(entry)
-
-        def attempt() -> None:
-            kind = fault_point("resolve.wal")
-            self._write_line(line[:len(line) // 2] if kind == "corrupt"
+        lines: List[str] = []
+        try:
+            for entry in entries:
+                line = encode_entry(entry)
+                kind = retry_with_backoff(
+                    lambda: fault_point("resolve.wal"),
+                    policy=self.retry_policy, description="WAL append")
+                lines.append(line[:len(line) // 2] if kind == "corrupt"
                              else line)
+        finally:
+            if lines:
+                retry_with_backoff(lambda: self._write_lines(lines),
+                                   policy=self.retry_policy,
+                                   description="WAL append")
 
-        retry_with_backoff(attempt, policy=self.retry_policy,
-                           description="WAL append")
-
-    def _write_line(self, line: str) -> None:
+    def _write_lines(self, lines: List[str]) -> None:
         with self._io:
-            if self._open_path is None:
-                self._open_path = os.path.join(
-                    self.directory, f"wal-{self._next_index:08d}{OPEN_SUFFIX}")
-                self._next_index += 1
-                self._open_count = 0
-            if self._handle is None:
-                self._handle = open(self._open_path, "a", encoding="utf-8")
-                self._handle_finalizer = weakref.finalize(
-                    self, self._handle.close)
-            self._handle.write(line + "\n")
-            self._handle.flush()
-            self._open_count += 1
-            if self._open_count >= self.segment_entries:
-                self._publish_open()
+            for line in lines:
+                if self._open_path is None:
+                    self._open_path = os.path.join(
+                        self.directory,
+                        f"wal-{self._next_index:08d}{OPEN_SUFFIX}")
+                    self._next_index += 1
+                    self._open_count = 0
+                if self._handle is None:
+                    self._handle = open(self._open_path, "a",
+                                        encoding="utf-8")
+                    self._handle_finalizer = weakref.finalize(
+                        self, self._handle.close)
+                self._handle.write(line + "\n")
+                self._open_count += 1
+                if self._open_count >= self.segment_entries:
+                    self._publish_open()   # closing the handle flushes it
+            if self._handle is not None:
+                self._handle.flush()
 
     def _publish_open(self) -> None:
         """Atomically promote the active file to an immutable segment."""

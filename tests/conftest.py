@@ -49,3 +49,52 @@ def f64():
     set_default_dtype(np.float64)
     yield
     set_default_dtype(previous)
+
+
+def camera_arrivals(records: int = 2000, block: int = 8):
+    """DI2KG camera records from 24 sources in the resolve-stream
+    benchmark's arrival order: ``seq`` is a record's stream position and
+    arrivals are shuffled within consecutive blocks of ``block``.
+    Returns ``[(seq, record), ...]`` in arrival order."""
+    from repro.data.di2kg import di2kg_spec
+    from repro.data.generators import generate_source_tables
+
+    sources = tuple(f"site{i:02d}" for i in range(24))
+    tables, _ = generate_source_tables(di2kg_spec("camera"), 300, seed=7,
+                                       sources=sources, overlap=0.3)
+    pool = [record for source in sorted(tables) for record in tables[source]]
+    pool = pool[:records]
+    rng = np.random.default_rng(7)
+    arrivals = []
+    for start in range(0, len(pool), block):
+        indices = np.arange(start, min(start + block, len(pool)))
+        rng.shuffle(indices)
+        arrivals.extend((int(i), pool[int(i)]) for i in indices)
+    return arrivals
+
+
+def released_bursts(arrivals, capacity: int = 32):
+    """The record groups a ``ReorderBuffer(capacity)`` releases at once
+    when fed ``arrivals``, then its drain."""
+    from repro.resolve import ReorderBuffer
+
+    buffer = ReorderBuffer(capacity)
+    for seq, record in arrivals:
+        released = buffer.offer(seq, record)
+        if released:
+            yield [arrival.record for arrival in released]
+    tail = buffer.drain()
+    if tail:
+        yield [arrival.record for arrival in tail]
+
+
+@pytest.fixture(scope="session")
+def camera_stream():
+    """:func:`camera_arrivals` at its defaults, built once per session."""
+    return camera_arrivals()
+
+
+@pytest.fixture(scope="session")
+def camera_bursts(camera_stream):
+    """:func:`released_bursts` of :func:`camera_stream`."""
+    return list(released_bursts(camera_stream))

@@ -256,6 +256,44 @@ class TestAnnQueryPath:
         monkeypatch.setattr(blocker, "_row_batch", counting)
         return calls
 
+    def test_group_query_equals_sequential_queries_and_adds(self, factory):
+        """``candidates_many`` answers each member as if the members
+        before it were added, with repeated uids and exact ties inside a
+        group, and emits ids ``len + j`` for earlier members."""
+        table = _seeded_table(40, seed=4, vocab=30, tokens=6)
+        stream = _seeded_table(30, seed=5, vocab=30, tokens=6)
+        # Inside one group: a uid repeated with new text and verbatim,
+        # copies of one text, and records with no shingles.
+        stream[3:3] = [_record("r3", stream[1].text()), stream[2],
+                       _record("dupa", stream[0].text()),
+                       _record("dupb", stream[0].text()),
+                       _record("e0", ""), _record("e1", "")]
+        for k in (1, 2, 8, 80):
+            grouped = factory().fit(table)
+            sequential = factory().fit(table)
+            for start, size in ((0, 1), (1, 9), (10, 2), (12, 24)):
+                group = stream[start:start + size]
+                expected = []
+                for record in group:
+                    expected.append(sequential.candidates(record, k=k))
+                    sequential.add(record)
+                assert grouped.candidates_many(group, k=k) == expected
+                grouped.add_many(group)
+            assert _index_state(grouped) == _index_state(sequential)
+        assert factory().candidates_many([], k=3) == []
+        with pytest.raises(ValueError):
+            factory().candidates_many(stream[:2], k=0)
+
+    def test_group_query_then_add_many_computes_signatures_once(
+            self, factory, monkeypatch):
+        table = _seeded_table(40, seed=2)
+        blocker = factory().fit(table[:-5])
+        calls = self._count_row_batches(monkeypatch, blocker)
+        blocker.candidates_many(table[-5:], k=4)
+        blocker.add_many(table[-5:])
+        assert calls == [5]
+        assert _index_state(blocker) == _index_state(factory().fit(table))
+
     def test_candidates_then_add_computes_signature_once(self, factory,
                                                          monkeypatch):
         table = _seeded_table(40, seed=2)
@@ -333,6 +371,34 @@ def test_golden_candidate_digest_on_di2kg_cameras():
     assert digest.hexdigest() == GOLDEN_CANDIDATES_SHA256
 
 
+#: sha256 of the candidate lists each blocker returns over the released
+#: bursts below, pinned on per-record ``candidates`` + ``add``.
+GOLDEN_BURST_CANDIDATES = {
+    "lsh": (15371,
+            "b4e6e4a3ce0a6d9b1fa343f2cd902cb93ecaddf58ef9a2358d6f69df0dbf9a18"),
+    "rp": (15281,
+           "4c516b3543a5708076286a4c374af7251d307d520e183c2ee405322303641da3"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_BURST_CANDIDATES))
+def test_golden_group_candidate_digest_on_released_bursts(name,
+                                                          camera_bursts):
+    """The resolve-stream schedule: 2k DI2KG camera records shuffled in
+    blocks of 8, released in bursts by ``ReorderBuffer(32)``, each burst
+    queried with one ``candidates_many(k=8)`` and indexed with one
+    ``add_many`` (the streaming resolver's order)."""
+    blocker = {"lsh": MinHashLSHBlocker,
+               "rp": RandomProjectionBlocker}[name](seed=0)
+    digest, total = hashlib.sha256(), 0
+    for burst in camera_bursts:
+        for found in blocker.candidates_many(burst, k=8):
+            total += len(found)
+            digest.update(repr(found).encode())
+        blocker.add_many(burst)
+    assert (total, digest.hexdigest()) == GOLDEN_BURST_CANDIDATES[name]
+
+
 # ======================================================================
 # The blocking.index fault site (R004): detected, counted, recovered
 # ======================================================================
@@ -350,6 +416,22 @@ class TestBlockingIndexFault:
         # answers equal the clean run (rebuild restored the signatures).
         assert answered == clean
         assert COUNTERS.as_dict()["blocking_index_rebuilds"] == 1
+
+    def test_corrupt_index_inside_a_group_rebuilds_once(self):
+        table = _seeded_table(80, seed=5)
+        group = [_record(f"q{i}", record.text())
+                 for i, record in enumerate(table[:6])]
+        blocker = MinHashLSHBlocker(seed=5).fit(table)
+        clean = blocker.candidates_many(group, k=8)
+        COUNTERS.reset()
+        plan = FaultPlan.single("blocking.index", "corrupt")
+        with inject(plan):
+            assert blocker.candidates_many(group, k=8) == clean
+        assert plan.fired("blocking.index", "corrupt") == 1
+        assert COUNTERS.as_dict()["blocking_index_rebuilds"] == 1
+        blocker.add_many(group)
+        assert _index_state(blocker) \
+            == _index_state(MinHashLSHBlocker(seed=5).fit(table + group))
 
     def test_corrupt_without_retained_records_raises(self):
         table = _seeded_table(40, seed=5)

@@ -29,6 +29,7 @@ Covers the ``repro.resolve`` package end to end:
 from __future__ import annotations
 
 import gc
+import hashlib
 import os
 import sys
 import threading
@@ -340,6 +341,57 @@ class TestResolveWalFaultSite:
             wal.commit({"seq": 1})               # lands as a torn line
         assert [e["seq"] for e in wal.replay()] == [0]
         assert COUNTERS.as_dict()["wal_truncations"] == 1
+
+
+class TestWalGroupCommit:
+    """``commit_many`` writes the bytes of one ``commit`` per entry, with
+    the ``resolve.wal`` fault point fired once per entry, in order."""
+
+    ENTRIES = [{"seq": i} for i in range(5)]
+
+    @pytest.mark.parametrize("kind, survivors", [
+        (None, [0, 1, 2, 3, 4]),
+        ("kill", [0, 1]),          # the entries before the kill
+        ("corrupt", [0, 1]),       # entry 2 torn: replay truncates there
+        ("transient", [0, 1, 2, 3, 4]),
+    ])
+    def test_group_commit_equals_one_commit_per_entry(self, tmp_path, kind,
+                                                      survivors):
+        def run(name: str, group: bool
+                ) -> Tuple[FaultPlan, List[Tuple[str, bytes]]]:
+            directory = str(tmp_path / name)
+            # Two entries a segment: the group crosses two publications.
+            wal = WriteAheadLog(directory, segment_entries=2,
+                                retry_policy=FAST_RETRY)
+            plan = FaultPlan(() if kind is None else (
+                FaultSpec(site="resolve.wal", kind=kind, at=(2,)),))
+            with inject(plan):
+                try:
+                    if group:
+                        wal.commit_many(self.ENTRIES)
+                    else:
+                        for entry in self.ENTRIES:
+                            wal.commit(entry)
+                except TrainingKilled:
+                    assert kind == "kill"
+            return plan, [(path.name, path.read_bytes())
+                          for path in sorted((tmp_path / name).iterdir())]
+
+        plan, grouped = run("group", group=True)
+        single_plan, single = run("single", group=False)
+        assert grouped == single
+        if kind is not None:
+            assert plan.fired("resolve.wal", kind) == 1
+            assert single_plan.fired("resolve.wal", kind) == 1
+        replayed = WriteAheadLog(str(tmp_path / "group")).replay()
+        assert [entry["seq"] for entry in replayed] == survivors
+        assert COUNTERS.as_dict()["wal_truncations"] \
+            == (1 if kind == "corrupt" else 0)
+
+    def test_empty_group_writes_nothing(self, tmp_path):
+        wal = WriteAheadLog(str(tmp_path))
+        wal.commit_many([])
+        assert os.listdir(tmp_path) == []
 
 
 # ======================================================================
@@ -831,24 +883,60 @@ class TestStreamingEqualsOffline:
 # Crash resume: kill mid-stream, bitwise-identical recovery
 # ======================================================================
 def _run_stream(records: List[Entity], wal: Optional[WriteAheadLog],
-                kill_plan: Optional[FaultPlan] = None
+                kill_plan: Optional[FaultPlan] = None,
+                arrivals: Optional[List[Tuple[int, Entity]]] = None
                 ) -> Tuple[StreamingResolver, Optional[int]]:
-    """Offer all records; returns (resolver, index where a kill landed)."""
+    """Offer all records (in ``arrivals`` order if given, else in seq
+    order); returns (resolver, seq of the offer a kill landed in)."""
+    if arrivals is None:
+        arrivals = list(enumerate(records))
     resolver = StreamingResolver(
         JaccardScorer(), config=ResolveConfig(seed=1), wal=wal)
     if kill_plan is None:
-        for seq, record in enumerate(records):
+        for seq, record in arrivals:
             resolver.offer(record, seq=seq)
         resolver.close()
         return resolver, None
     with inject(kill_plan):
-        for seq, record in enumerate(records):
+        for seq, record in arrivals:
             try:
                 resolver.offer(record, seq=seq)
             except TrainingKilled:
                 return resolver, seq
     resolver.close()
     return resolver, None
+
+
+def _shuffled(records: List[Entity], block: int = 3,
+              seed: int = 3) -> List[Tuple[int, Entity]]:
+    """``(seq, record)`` arrivals shuffled within blocks of ``block``: the
+    reorder buffer releases them in seq order, in bursts."""
+    rng = np.random.default_rng(seed)
+    arrivals: List[Tuple[int, Entity]] = []
+    for start in range(0, len(records), block):
+        indices = np.arange(start, min(start + block, len(records)))
+        rng.shuffle(indices)
+        arrivals.extend((int(i), records[int(i)]) for i in indices)
+    return arrivals
+
+
+class _SpyWal(WriteAheadLog):
+    """A log that keeps the entries of each commit and of the one a
+    kill interrupted."""
+
+    def __init__(self, directory: str, **kwargs):
+        super().__init__(directory, **kwargs)
+        self.commits: List[List[Dict[str, object]]] = []
+        self.killed: Optional[List[Dict[str, object]]] = None
+
+    def commit_many(self, entries) -> None:
+        entries = list(entries)
+        self.commits.append(entries)
+        try:
+            super().commit_many(entries)
+        except TrainingKilled:
+            self.killed = entries
+            raise
 
 
 def _index_state(blocker) -> Tuple[List[str], bytes, bytes, Dict]:
@@ -951,32 +1039,45 @@ class TestCrashResume:
 
     def test_chaos_soak_kill_everywhere_conserves_and_converges(self,
                                                                 tmp_path):
-        """Kill the WAL at many invocation points; each crash resumes to
-        the uninterrupted digest with conservation intact throughout."""
+        """Kill the WAL at every invocation point of a stream released in
+        bursts; each crash resumes to the uninterrupted digest with
+        conservation intact throughout, including kills that land inside
+        a multi-record group commit."""
         records = _group_stream(groups=3, views=3)
+        arrivals = _shuffled(records)
         baseline, _ = _run_stream(
             records, WriteAheadLog(str(tmp_path / "clean")))
         expected = baseline.store.digest()
 
-        rng = np.random.default_rng(5)
-        kill_points = sorted(set(rng.integers(1, 16, size=5).tolist()))
-        for kill_at in kill_points:
+        inside_groups = []
+        for kill_at in range(1, 2 * len(records)):
             wal_dir = str(tmp_path / f"soak-{kill_at}")
             plan = FaultPlan((FaultSpec(site="resolve.wal", kind="kill",
                                         at=(kill_at,)),))
-            _, killed_at = _run_stream(
-                records, WriteAheadLog(wal_dir, retry_policy=FAST_RETRY),
-                kill_plan=plan)
+            wal = _SpyWal(wal_dir, retry_policy=FAST_RETRY)
+            _, killed_at = _run_stream(records, wal, kill_plan=plan,
+                                       arrivals=arrivals)
+            assert killed_at is not None, f"kill@{kill_at}"
+            group = {entry["uid"] for entry in wal.killed
+                     if entry["type"] == "resolve"}
+            durable = [entry for entry in WriteAheadLog(wal_dir).replay()
+                       if entry.get("uid") in group]
+            if len(group) >= 2:
+                inside_groups.append(len(durable))
             resumed = StreamingResolver.resume(
                 JaccardScorer(), WriteAheadLog(wal_dir),
                 config=ResolveConfig(seed=1))
             _assert_conserved(resumed)
-            for seq, record in enumerate(records):
+            for seq, record in arrivals:
                 resumed.offer(record, seq=seq)
             resumed.close()
             stats = _assert_conserved(resumed)
             assert stats["ingested"] == len(records), f"kill@{kill_at}"
             assert resumed.store.digest() == expected, f"kill@{kill_at}"
+        # Some kills hit a group's first entry, some leave part of the
+        # group durable.
+        assert 0 in inside_groups
+        assert any(inside_groups)
 
         # Kills inside the shutdown checkpoint and the compaction behind
         # it: a first close checkpoints half the stream, the second close
@@ -1222,20 +1323,29 @@ class TestShutdownCheckpoint:
         resolver.close()
         _assert_same_state(_resume(wal_dir), resolver)
 
-    def test_blocker_without_saved_rows_keeps_the_full_log(self, tmp_path):
+    def test_resolver_rejects_a_non_banded_blocker(self, tmp_path):
+        """Group queries and checkpoints need a banded ANN index."""
+        from repro.blocking.ann import RandomProjectionBlocker
         from repro.blocking.keyword import OverlapBlocker
 
-        records = _group_stream(groups=3, views=2)
+        with pytest.raises(TypeError, match="banded ANN index.*Overlap"):
+            StreamingResolver(JaccardScorer(),
+                              blocker=OverlapBlocker().fit([]))
         wal_dir = str(tmp_path / "wal")
+        _checkpointed(wal_dir, _group_stream(groups=2, views=2))
+        with pytest.raises(TypeError, match="OverlapBlocker"):
+            _resume(wal_dir, blocker=OverlapBlocker().fit([]))
+        records = _group_stream(groups=3, views=2)
         resolver = StreamingResolver(
-            JaccardScorer(), blocker=OverlapBlocker().fit([]),
-            config=ResolveConfig(seed=1), wal=_wal(wal_dir))
+            JaccardScorer(), blocker=RandomProjectionBlocker(seed=1),
+            config=ResolveConfig(seed=1), wal=_wal(str(tmp_path / "rp")))
         for seq, record in enumerate(records):
             resolver.offer(record, seq=seq)
         resolver.close()
-        assert wal_module.CHECKPOINT_NAME not in os.listdir(wal_dir)
-        resumed = _resume(wal_dir, blocker=OverlapBlocker().fit([]))
-        assert resumed.store.digest() == resolver.store.digest()
+        assert len(resolver.store.clusters()) == 3
+        resumed = _resume(str(tmp_path / "rp"),
+                          blocker=RandomProjectionBlocker(seed=1))
+        _assert_same_state(resumed, resolver)
 
     def test_resume_rejects_a_mismatched_binding(self, tmp_path):
         wal_dir = str(tmp_path / "wal")
@@ -1393,3 +1503,161 @@ class TestCheckpointFaultSites:
             fh.truncate(4)
         with pytest.raises(CorruptDataFault, match="CRC"):
             _resume(wal_dir)
+
+
+# ======================================================================
+# Group resolution: each burst the reorder buffer releases at once is
+# signed, queried, scored, logged and flushed as one group
+# ======================================================================
+#: sha256 of every WAL segment's bytes (after the drain, before the
+#: close), of the shutdown checkpoint's bytes, and the store digest of the
+#: run below.  Pinned on per-record resolution; group resolution must
+#: reproduce them byte for byte.
+GOLDEN_WAL_SHA256 = \
+    "43484eea52b4684f050df6a4ea3755b561be9003454ec45cd3f2d228e3fcf3c8"
+GOLDEN_CHECKPOINT_SHA256 = \
+    "933723809c532a1bc82261533090d9dc009602fbc07d328211fcc3c9f7ce4e26"
+GOLDEN_STORE_DIGEST = "40f00cf32a74674e485843db7ec1b361"
+
+
+def _dir_sha256(directory: str, names: List[str]) -> str:
+    digest = hashlib.sha256()
+    for name in names:
+        with open(os.path.join(directory, name), "rb") as fh:
+            digest.update(fh.read())
+    return digest.hexdigest()
+
+
+def test_golden_wal_bytes_and_digest_on_released_bursts(tmp_path,
+                                                        camera_stream):
+    """2k DI2KG camera records, shuffled in blocks of 8 and released in
+    bursts by a 32-record reorder buffer (the resolve-stream schedule),
+    with a retraction every 50 offers of the record offered 3 before
+    (some still pending, some resolved)."""
+    wal_dir = str(tmp_path / "wal")
+    config = ResolveConfig(match_threshold=0.6, nonmatch_threshold=0.15,
+                           reorder_capacity=32, seed=7)
+    resolver = StreamingResolver(JaccardScorer(), config=config,
+                                 wal=WriteAheadLog(wal_dir))
+    for step, (seq, record) in enumerate(camera_stream):
+        resolver.offer(record, seq=seq)
+        if step % 50 == 49:
+            assert resolver.retract(camera_stream[step - 3][1].uid)
+    resolver.drain()
+    stats = _assert_conserved(resolver)
+    assert stats["retracted"] == len(camera_stream) // 50
+    wal_sha = _dir_sha256(wal_dir, _segment_files(wal_dir))
+    resolver.close()
+    checkpoint_sha = _dir_sha256(wal_dir, [wal_module.CHECKPOINT_NAME])
+    assert (wal_sha, checkpoint_sha, resolver.store.digest()) == (
+        GOLDEN_WAL_SHA256, GOLDEN_CHECKPOINT_SHA256, GOLDEN_STORE_DIGEST)
+    resumed = StreamingResolver.resume(JaccardScorer(),
+                                       WriteAheadLog(wal_dir), config=config)
+    assert resumed.store.digest() == GOLDEN_STORE_DIGEST
+
+
+def _second_entry_of_a_group(records: List[Entity],
+                             arrivals: List[Tuple[int, Entity]],
+                             tmp_path) -> int:
+    """The ``resolve.wal`` invocation of the second entry of the first
+    multi-record ``resolve`` group commit of a clean run."""
+    wal = _SpyWal(str(tmp_path / "spy"))
+    _run_stream(records, wal, arrivals=arrivals)
+    at = 0
+    for entries in wal.commits:
+        if len(entries) >= 2 and entries[0]["type"] == "resolve":
+            return at + 1
+        at += len(entries)
+    raise AssertionError("no multi-record group")
+
+
+@pytest.mark.parametrize("kind", ["kill", "corrupt"])
+def test_fault_inside_a_group_resumes_to_the_live_digest(tmp_path, kind):
+    """A kill inside a group loses the group's unwritten ``resolve``
+    entries and resume re-scores those records; a torn entry inside a
+    group truncates the log there.  Both resume to the live digest."""
+    records = _group_stream(groups=4, views=3)
+    arrivals = _shuffled(records)
+    expected = _run_stream(
+        records, WriteAheadLog(str(tmp_path / "clean")))[0].store.digest()
+    at = _second_entry_of_a_group(records, arrivals, tmp_path)
+    wal_dir = str(tmp_path / "wal")
+    resolver = StreamingResolver(
+        JaccardScorer(), config=ResolveConfig(seed=1),
+        wal=WriteAheadLog(wal_dir, retry_policy=FAST_RETRY))
+    plan = FaultPlan((FaultSpec(site="resolve.wal", kind=kind, at=(at,)),))
+    with inject(plan):
+        for seq, record in arrivals:
+            try:
+                resolver.offer(record, seq=seq)
+            except TrainingKilled:
+                break                   # the process died here
+    assert plan.fired("resolve.wal", kind) == 1
+    # Crash without close: the log is read back as the crash left it.
+    resumed = StreamingResolver.resume(JaccardScorer(),
+                                       WriteAheadLog(wal_dir),
+                                       config=ResolveConfig(seed=1))
+    assert COUNTERS.as_dict()["wal_truncations"] \
+        == (1 if kind == "corrupt" else 0)
+    _assert_conserved(resumed)
+    for seq, record in arrivals:
+        resumed.offer(record, seq=seq)
+    resumed.close()
+    assert _assert_conserved(resumed)["ingested"] == len(records)
+    assert resumed.store.digest() == expected
+
+
+def test_retraction_racing_a_group_lands_after_its_resolve_entries(
+        tmp_path):
+    """A group member retracted from another thread while the group is
+    being scored: its ``retract`` entry follows the group's ``resolve``
+    entries, the tallies conserve, and resume reaches the live digest."""
+    entered, release = threading.Event(), threading.Event()
+
+    class _GatedScorer(JaccardScorer):
+        def scores(self, pairs):
+            if len({pair.left.uid for pair in pairs}) >= 2:
+                entered.set()
+                assert release.wait(timeout=30)
+            return super().scores(pairs)
+
+    records = _group_stream(groups=2, views=3)
+    # seq 2 arrives after 3 and 4, so its offer releases [2, 3, 4]:
+    # g0v2 (pairs with g0v0, g0v1), g1v0, g1v1 (pairs with g1v0).
+    arrivals = [(seq, records[seq]) for seq in (0, 1, 3, 4, 2, 5)]
+    wal_dir = str(tmp_path / "wal")
+    resolver = StreamingResolver(_GatedScorer(),
+                                 config=ResolveConfig(seed=1),
+                                 wal=WriteAheadLog(wal_dir))
+    for seq, record in arrivals[:4]:
+        resolver.offer(record, seq=seq)
+    stream = threading.Thread(target=resolver.offer,
+                              args=(arrivals[4][1], arrivals[4][0]))
+    stream.start()
+    assert entered.wait(timeout=30)
+    assert resolver.retract("g1v0")          # mid-resolution
+    _assert_conserved(resolver)
+    release.set()
+    stream.join(timeout=30)
+    assert not stream.is_alive()
+    resolver.offer(*reversed(arrivals[5]))
+    stats = _assert_conserved(resolver)
+    assert stats["retracted"] == 1 and stats["clustered"] == 5
+    assert resolver.store.assign("g1v0") is None
+    logged = [(entry["type"], entry.get("uid"))
+              for entry in resolver.wal.replay()
+              if entry["type"] != "arrive"]
+    assert logged == [("resolve", "g0v0"), ("resolve", "g0v1"),
+                      ("resolve", "g0v2"), ("resolve", "g1v0"),
+                      ("resolve", "g1v1"), ("retract", "g1v0"),
+                      ("resolve", "g1v2")]
+    # g1v1 was scored against its earlier group member g1v0.
+    (g1v1,) = [entry for entry in resolver.wal.replay()
+               if entry.get("uid") == "g1v1"]
+    assert [edge["v"] for edge in g1v1["edges"]] == ["g1v0"]
+    live = resolver.store.digest()
+    resumed = StreamingResolver.resume(JaccardScorer(),
+                                       WriteAheadLog(wal_dir),
+                                       config=ResolveConfig(seed=1))
+    assert resumed.store.digest() == live
+    assert resumed.stats() == resolver.stats()
