@@ -28,7 +28,7 @@ from repro.core.metrics import best_threshold_f1, precision_recall_f1
 from repro.core.trainer import TrainConfig, TrainResult, predict_forward, train_pair_classifier
 from repro.data.collective import CollectiveDataset, CollectiveQuery
 from repro.data.schema import EntityPair, PairDataset
-from repro.lm.checkpoint import load_checkpoint, global_vocabulary
+from repro.lm.checkpoint import load_checkpoint
 from repro.matchers.base import Matcher, labels_of
 from repro.matchers.ditto import imbalance_weight
 from repro.matchers.encoding import AttributeEncoder
@@ -284,7 +284,7 @@ class HierGAT(Matcher):
         # similarity embedding lives in the same [CLS] space the head was
         # pre-trained on.
         self._network.head.load_state_dict(head_state)
-        self._encoder = AttributeEncoder(global_vocabulary(),
+        self._encoder = AttributeEncoder(lm.vocab,
                                          max_value_tokens=self.scale.max_tokens // 2)
         self._num_attributes = num_attributes
 
@@ -373,7 +373,7 @@ class HierGATPlus(Matcher):
         lm, head_state = load_checkpoint(self.config.language_model, self.scale)
         self._network = HierGATNetwork(lm, self.config, self.scale.num_heads, rng)
         self._network.head.load_state_dict(head_state)
-        self._encoder = AttributeEncoder(global_vocabulary(),
+        self._encoder = AttributeEncoder(lm.vocab,
                                          max_value_tokens=self.scale.max_tokens // 2)
         self._num_attributes = min(
             len(q.query.attributes) for q in dataset.train + dataset.valid + dataset.test

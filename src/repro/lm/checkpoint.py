@@ -6,13 +6,17 @@ large-scale pre-training.  Offline we reproduce that pipeline shape:
 1. A **global vocabulary** built from a large mixed-domain synthetic corpus
    (all benchmark domains, held-out generation seeds) with hashed OOV
    buckets — one vocabulary shared by every dataset, like a real tokenizer.
+   It is built only while pre-training; afterwards it ships inside the
+   checkpoint file, so loading a model never regenerates the corpus.
 2. A **pre-training phase**: the encoder is trained on a balanced
    match/non-match pseudo-pair task over that corpus (the ER analogue of the
    transfer learning Brunner & Stockinger 2020 showed works for ER),
    bootstrapped from PPMI+SVD corpus embeddings.
-3. The resulting weights are cached under ``.lm_cache/`` keyed by
-   architecture, steps, seed and default dtype, so every experiment pays
-   the pre-training cost once.
+3. The resulting weights and the vocabulary (its id-ordered token list
+   and OOV bucket count) are cached in one ``.npz`` under ``.lm_cache/``
+   keyed by architecture, steps, seed and default dtype, so every
+   experiment pays the pre-training cost once.  The :class:`PretrainedLM`
+   a checkpoint loads carries that vocabulary as ``lm.vocab``.
 
 Fine-tuning per dataset then mirrors the paper's Section 5.3 training
 process: "This process combines the training of [the model] with the
@@ -45,7 +49,11 @@ from repro.text.vocab import NAN_TOKEN, Vocabulary
 #: benchmark seeds so no benchmark instance appears in pre-training.
 _PRETRAIN_SEED = 880_000
 
-_memory_cache: Dict[str, Tuple[Dict[str, np.ndarray], Dict[str, np.ndarray]]] = {}
+#: Weights, head and vocabulary of one checkpoint, as :func:`_pretrain`
+#: returns them and :func:`_read_checkpoint` loads them.
+CheckpointStates = Tuple[Dict[str, np.ndarray], Dict[str, np.ndarray], Vocabulary]
+
+_memory_cache: Dict[str, CheckpointStates] = {}
 
 
 def cache_dir() -> Path:
@@ -87,7 +95,8 @@ def pretraining_corpus() -> Tuple[Tuple[str, ...], ...]:
 
 @functools.lru_cache(maxsize=1)
 def global_vocabulary() -> Vocabulary:
-    """The shared tokenizer vocabulary (like a real checkpoint's vocab)."""
+    """The tokenizer vocabulary pre-training builds; a loaded checkpoint
+    ships it (``load_checkpoint(...)[0].vocab``)."""
     return Vocabulary.from_corpus(
         [list(t) for t in pretraining_corpus()], min_freq=1, num_oov_buckets=512,
     )
@@ -111,11 +120,13 @@ def _cache_key(name: str, scale: Scale, steps: int) -> str:
 
     A checkpoint pre-trained under float64 or another seed has different
     weights, so it must never be read back under this process's key.
+    ``-v8`` files carry the vocabulary; ``-v7`` is skipped because caches
+    may hold stray files of that name in a format this code never wrote.
     """
     spec = LANGUAGE_MODELS[name]
     dtype = np.dtype(get_default_dtype()).name
     raw = (f"{name}-d{spec.dim(scale)}-l{spec.layers(scale)}-h{scale.num_heads}"
-           f"-t{scale.max_tokens}-s{steps}-seed{scale.seed}-{dtype}-v6")
+           f"-t{scale.max_tokens}-s{steps}-seed{scale.seed}-{dtype}-v8")
     return hashlib.blake2b(raw.encode(), digest_size=8).hexdigest() + "-" + raw
 
 
@@ -151,7 +162,7 @@ def _single_attribute_view(pair: EntityPair, rng: np.random.Generator) -> Entity
     )
 
 
-def _pretrain(name: str, scale: Scale, steps: int) -> Tuple[Dict[str, np.ndarray], Dict[str, np.ndarray]]:
+def _pretrain(name: str, scale: Scale, steps: int) -> CheckpointStates:
     from repro.matchers.encoding import PairEncoder
 
     vocab = global_vocabulary()
@@ -178,19 +189,21 @@ def _pretrain(name: str, scale: Scale, steps: int) -> Tuple[Dict[str, np.ndarray
         clip_grad_norm(network.parameters(), 5.0)
         optimizer.step()
     network.eval()
-    return lm.state_dict(), network.head.state_dict()
+    return lm.state_dict(), network.head.state_dict(), vocab
 
 
-def _read_checkpoint(path: Path) -> Optional[Tuple[Dict[str, np.ndarray], Dict[str, np.ndarray]]]:
+def _read_checkpoint(path: Path) -> Optional[CheckpointStates]:
     """Load a cached checkpoint; on any corruption, discard the file.
 
     Interrupted writes used to leave truncated ``.npz`` files behind, which
     then crashed every later run with ``zipfile.BadZipFile``.  Any read/parse
     failure here is treated as "no cache": the bad file is removed, the
     rebuild is counted in ``COUNTERS.checkpoint_rebuilds``, and the caller
-    rebuilds it.  The ``lm.checkpoint.read`` fault site raises transient IO
-    errors *before* the parse (retried by :func:`load_checkpoint`) and
-    injects corruption inside it.
+    rebuilds it.  A file without its ``vocab:`` arrays, or whose vocabulary
+    size disagrees with the rows of ``embedding.weight``, is corrupt too.
+    The ``lm.checkpoint.read`` fault site raises transient IO errors
+    *before* the parse (retried by :func:`load_checkpoint`) and injects
+    corruption inside it.
     """
     import zipfile
 
@@ -201,9 +214,15 @@ def _read_checkpoint(path: Path) -> Optional[Tuple[Dict[str, np.ndarray], Dict[s
         with np.load(path) as data:
             lm_state = {k[3:]: data[k] for k in data.files if k.startswith("lm:")}
             head_state = {k[5:]: data[k] for k in data.files if k.startswith("head:")}
+            tokens = data["vocab:tokens"].tolist()
+            num_oov_buckets = int(data["vocab:oov_buckets"])
         if not lm_state:
             raise KeyError("checkpoint has no lm arrays")
-        return lm_state, head_state
+        vocab = Vocabulary.from_tokens(tokens, num_oov_buckets)
+        rows = lm_state["embedding.weight"].shape[0]
+        if len(vocab) != rows:
+            raise ValueError(f"vocabulary of {len(vocab)} ids for {rows} embedding rows")
+        return lm_state, head_state, vocab
     except (zipfile.BadZipFile, OSError, ValueError, KeyError, EOFError):
         try:
             path.unlink()
@@ -214,7 +233,7 @@ def _read_checkpoint(path: Path) -> Optional[Tuple[Dict[str, np.ndarray], Dict[s
 
 
 def _write_checkpoint(path: Path, lm_state: Dict[str, np.ndarray],
-                      head_state: Dict[str, np.ndarray]) -> None:
+                      head_state: Dict[str, np.ndarray], vocab: Vocabulary) -> None:
     """Atomically persist a checkpoint (temp file + ``os.replace``).
 
     ``np.savez`` appends ``.npz`` to string paths, so we hand it an open file
@@ -225,6 +244,8 @@ def _write_checkpoint(path: Path, lm_state: Dict[str, np.ndarray],
     fault_point("lm.checkpoint.write", path=path.name)  # may raise transient
     payload = {f"lm:{k}": v for k, v in lm_state.items()}
     payload.update({f"head:{k}": v for k, v in head_state.items()})
+    payload["vocab:tokens"] = np.array(vocab.decode(list(range(vocab.num_known))))
+    payload["vocab:oov_buckets"] = np.array(vocab.num_oov_buckets)
     tmp = path.with_name(path.name + f".tmp.{os.getpid()}")
     try:
         with open(tmp, "wb") as fh:
@@ -246,8 +267,9 @@ def _write_checkpoint(path: Path, lm_state: Dict[str, np.ndarray],
 
 def load_checkpoint(name: str, scale: Optional[Scale] = None,
                     steps: Optional[int] = None) -> Tuple[PretrainedLM, Dict[str, np.ndarray]]:
-    """Return a fresh :class:`PretrainedLM` with pre-trained weights, plus the
-    pre-training head's state dict (useful as a warm start).
+    """Return a fresh :class:`PretrainedLM` with pre-trained weights and the
+    checkpoint's vocabulary (``lm.vocab``), plus the pre-training head's
+    state dict (useful as a warm start).
 
     Checkpoints are cached in memory and on disk; delete ``.lm_cache/`` to
     force a rebuild.
@@ -265,8 +287,8 @@ def load_checkpoint(name: str, scale: Optional[Scale] = None,
             retry_with_backoff(lambda: _write_checkpoint(path, *states))
         _memory_cache[key] = states
 
-    lm_state, head_state = _memory_cache[key]
-    lm = load_language_model(name, global_vocabulary(), corpus=None, scale=scale,
+    lm_state, head_state, vocab = _memory_cache[key]
+    lm = load_language_model(name, vocab, corpus=None, scale=scale,
                              rng=np.random.default_rng(scale.seed))
     lm.load_state_dict(lm_state)
     return lm, {k: v.copy() for k, v in head_state.items()}

@@ -21,7 +21,7 @@ from repro.config import Scale, get_scale
 from repro.core.metrics import best_threshold_f1
 from repro.core.trainer import TrainConfig, TrainResult, predict_forward, train_pair_classifier
 from repro.data.schema import EntityPair, PairDataset
-from repro.lm.checkpoint import SequencePairClassifier, global_vocabulary, load_checkpoint
+from repro.lm.checkpoint import SequencePairClassifier, load_checkpoint
 from repro.matchers.base import Matcher, labels_of
 from repro.matchers.encoding import PairEncoder
 
@@ -62,7 +62,7 @@ class DittoModel(Matcher):
         lm, head_state = load_checkpoint(self.language_model, self.scale)
         self._network = SequencePairClassifier(lm, rng)
         self._network.head.load_state_dict(head_state)
-        self._encoder = PairEncoder(global_vocabulary(), scale=self.scale)
+        self._encoder = PairEncoder(lm.vocab, scale=self.scale)
         config = TrainConfig.from_scale(
             self.scale, seed=self.seed,
             positive_weight=imbalance_weight(dataset.split.train),

@@ -1,8 +1,9 @@
 """Model persistence: save/load trained matchers to a single ``.npz`` file.
 
 Neural matchers serialise their network's ``state_dict`` plus the metadata
-needed to rebuild the architecture (scale, config, threshold).  Vocabulary is
-the global checkpoint vocabulary, so ids stay stable across processes.
+needed to rebuild the architecture (scale, config, threshold).  The
+vocabulary ships inside the LM checkpoint, so ids stay stable across
+processes.
 """
 
 from __future__ import annotations
@@ -64,14 +65,14 @@ def load_matcher(path: Union[str, Path]):
     scale = _scale_from_dict(meta["scale"])
     class_name = meta["class"]
     if class_name == "DittoModel":
-        from repro.lm.checkpoint import SequencePairClassifier, global_vocabulary, load_checkpoint
+        from repro.lm.checkpoint import SequencePairClassifier, load_checkpoint
         from repro.matchers.ditto import DittoModel
         from repro.matchers.encoding import PairEncoder
 
         matcher = DittoModel(language_model=meta["language_model"], scale=scale)
         lm, _ = load_checkpoint(meta["language_model"], scale)
         matcher._network = SequencePairClassifier(lm, np.random.default_rng(scale.seed))
-        matcher._encoder = PairEncoder(global_vocabulary(), scale=scale)
+        matcher._encoder = PairEncoder(lm.vocab, scale=scale)
     elif class_name in ("HierGAT", "UnalignedHierGAT"):
         if class_name == "UnalignedHierGAT":
             from repro.core.unaligned import UnalignedHierGAT as cls

@@ -237,7 +237,10 @@ class StreamingResolver:
         The checkpoint is published before any segment is deleted, so a
         crash at any point leaves a consistent (checkpoint, tail) pair.
         A close that races a retraction from another thread skips the
-        checkpoint; the WAL then keeps its segments.
+        checkpoint; the WAL then keeps its segments.  A drain whose
+        scoring raises propagates before any of this: no checkpoint is
+        written, the WAL keeps every ``arrive`` entry, and a later
+        ``close`` retries the unresolved records.
         """
         self.drain()
         if self.wal is None:
@@ -302,19 +305,19 @@ class StreamingResolver:
             with self._lock:
                 if self._resolving:
                     return
-                group: List[Entity] = []
+                group: List[RecordArrival] = []
                 for arrival in self._queue:
                     uid = arrival.record.uid
                     if uid in self._dropped:
                         # Retracted while pending: counted at retract time.
                         self._dropped.discard(uid)
                     else:
-                        group.append(arrival.record)
+                        group.append(arrival)
                 self._queue.clear()
                 if not group:
                     return
                 self._resolving = True
-                self._inflight = {record.uid for record in group}
+                self._inflight = {arrival.record.uid for arrival in group}
             try:
                 self._resolve_group(group)
             finally:
@@ -363,8 +366,43 @@ class StreamingResolver:
             at += len(mine)
         return edges
 
-    def _resolve_group(self, group: List[Entity]) -> None:
-        edges = self._score_group(group)
+    def _requeue(self, arrivals: List[RecordArrival]) -> None:
+        """Put a group whose scoring raised back at the head of the queue
+        for the next ``offer``/``drain``/``close`` to retry.
+
+        Nothing of the group is logged yet, so its records are pending
+        again.  A retraction that raced the failed group took the
+        in-flight branch of :meth:`retract` and counted nothing; it is
+        counted and logged here as the pending retraction it now is, and
+        the retry drops its record.
+        """
+        with self._lock:
+            raced = [arrival.record.uid for arrival in arrivals
+                     if arrival.record.uid in self._dropped]
+            self._retracted.update(raced)
+            self._pending -= len(raced)
+            self._retracted_n += len(raced)
+            self._retracting += len(raced)
+            self._queue[:0] = arrivals
+            self._inflight = set()
+        if not raced:
+            return
+        try:
+            if self.wal is not None:
+                self.wal.commit_many(
+                    {"type": "retract", "uid": uid, "reason": "retracted"}
+                    for uid in raced)
+        finally:
+            with self._lock:
+                self._retracting -= len(raced)
+
+    def _resolve_group(self, arrivals: List[RecordArrival]) -> None:
+        group = [arrival.record for arrival in arrivals]
+        try:
+            edges = self._score_group(group)
+        except BaseException:
+            self._requeue(arrivals)
+            raise
         if self.wal is not None:
             self.wal.commit_many(
                 {"type": "resolve", "uid": record.uid,

@@ -132,6 +132,21 @@ class Vocabulary:
         return [self.id_to_token(i) for i in ids]
 
     @classmethod
+    def from_tokens(cls, tokens: Iterable[str], num_oov_buckets: int) -> "Vocabulary":
+        """Rebuild a frozen vocabulary from its id-ordered token list, as a
+        checkpoint ships it; ``ValueError`` unless the list starts with the
+        special tokens and holds no duplicate."""
+        tokens = list(tokens)
+        token_to_id = {token: i for i, token in enumerate(tokens)}
+        if tokens[:len(SPECIAL_TOKENS)] != SPECIAL_TOKENS or len(token_to_id) != len(tokens):
+            raise ValueError("not an id-ordered vocabulary token list")
+        vocab = cls(num_oov_buckets=num_oov_buckets)
+        vocab._id_to_token = tokens
+        vocab._token_to_id = token_to_id
+        vocab._frozen = True
+        return vocab
+
+    @classmethod
     def from_corpus(cls, token_lists: Iterable[List[str]], min_freq: int = 1,
                     max_size: Optional[int] = None, num_oov_buckets: int = 64) -> "Vocabulary":
         """One-shot construction: count then freeze."""

@@ -177,3 +177,59 @@ class TestCheckpoint:
         vocab = global_vocabulary()
         assert vocab.pad_id == 0
         assert len(vocab) > 1000
+
+
+class TestShippedVocabulary:
+    """The vocabulary ships inside the checkpoint file: a warm start loads
+    it instead of regenerating the pre-training pool."""
+
+    def test_shipped_vocabulary_equals_the_pretraining_build(self):
+        from repro.data.magellan import load_dataset
+        from repro.lm import checkpoint as ck
+        from repro.text.tokenizer import tokenize
+
+        scale = Scale.ci()
+        lm, _ = ck.load_checkpoint("roberta", scale)  # builds the file if cold
+        key = ck._cache_key("roberta", scale, ck.default_pretrain_steps(scale))
+        _, _, shipped = ck._read_checkpoint(ck.cache_dir() / f"{key}.npz")
+        built = Vocabulary.from_corpus(
+            [list(t) for t in ck.pretraining_corpus()], min_freq=1,
+            num_oov_buckets=512)
+        for vocab in (shipped, lm.vocab):
+            assert vocab._id_to_token == built._id_to_token
+            assert vocab.num_oov_buckets == built.num_oov_buckets
+
+        pairs = load_dataset("Abt-Buy", scale=scale).split.test[:20]
+        samples = [tokenize(key) + tokenize(value)
+                   for pair in pairs for entity in (pair.left, pair.right)
+                   for key, value in entity.attributes]
+        samples.append(["coolmax-x9", "zzqv", "tp-link", "[CLS]", "nan"])
+        ids = [shipped.encode(tokens) for tokens in samples]
+        assert ids == [built.encode(tokens) for tokens in samples]
+        assert any(i >= built.num_known for row in ids for i in row)  # OOV hit
+
+    def test_warm_start_never_builds_the_pretraining_pool(self, tmp_path,
+                                                          monkeypatch):
+        from repro.core import HierGAT
+        from repro.data.magellan import load_dataset
+        from repro.lm import checkpoint as ck
+        from repro.matchers.ditto import DittoModel
+        from repro.persistence import load_matcher, save_matcher
+
+        scale = Scale.ci()
+        dataset = load_dataset("Fodors-Zagats", scale=scale)
+        ck.load_checkpoint("roberta", scale)  # the checkpoint is on disk
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("warm start rebuilt the pre-training pool")
+
+        monkeypatch.setattr(ck, "pretraining_pool", no_pool)
+        monkeypatch.setattr(ck, "_memory_cache", {})
+        ck.global_vocabulary.cache_clear()
+        ck.pretraining_corpus.cache_clear()
+
+        HierGAT(scale=scale).fit(dataset)
+        ditto = DittoModel(scale=scale).fit(dataset)
+        restored = load_matcher(save_matcher(ditto, tmp_path / "ditto.npz"))
+        np.testing.assert_array_equal(restored.scores(dataset.split.test[:6]),
+                                      ditto.scores(dataset.split.test[:6]))

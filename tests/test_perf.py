@@ -128,15 +128,21 @@ def test_profiler_records_ops_and_uninstalls_hook():
 def test_checkpoint_read_write_roundtrip(tmp_path):
     from repro.lm import checkpoint as ckpt
 
+    from repro.text.vocab import SPECIAL_TOKENS, Vocabulary
+
     path = tmp_path / "x.npz"
-    lm_state = {"w": np.arange(6, dtype=np.float32).reshape(2, 3)}
+    vocab = Vocabulary.from_tokens(SPECIAL_TOKENS, num_oov_buckets=1)
+    lm_state = {"embedding.weight": np.arange(24, dtype=np.float32).reshape(8, 3)}
     head_state = {"b": np.zeros(2, dtype=np.float32)}
-    ckpt._write_checkpoint(path, lm_state, head_state)
+    ckpt._write_checkpoint(path, lm_state, head_state, vocab)
     assert path.exists()
     assert not list(tmp_path.glob("*.tmp.*"))  # temp file cleaned up
-    loaded_lm, loaded_head = ckpt._read_checkpoint(path)
-    np.testing.assert_array_equal(loaded_lm["w"], lm_state["w"])
+    loaded_lm, loaded_head, loaded_vocab = ckpt._read_checkpoint(path)
+    np.testing.assert_array_equal(loaded_lm["embedding.weight"],
+                                  lm_state["embedding.weight"])
     np.testing.assert_array_equal(loaded_head["b"], head_state["b"])
+    assert loaded_vocab.decode(list(range(len(loaded_vocab)))) == \
+        SPECIAL_TOKENS + ["[UNK]"]
 
 
 def test_checkpoint_corrupt_file_discarded(tmp_path):

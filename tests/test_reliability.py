@@ -24,6 +24,7 @@ from repro.lm.checkpoint import _read_checkpoint, _write_checkpoint
 from repro.nn import Dropout, Linear, Module
 from repro.perf.cache import LRUCache
 from repro.pipeline import ERPipeline
+from repro.text.vocab import SPECIAL_TOKENS, Vocabulary
 from repro.reliability import (
     COUNTERS,
     CorruptDataFault,
@@ -194,21 +195,30 @@ class TestPoisonedCache:
 # LM checkpoint corruption -> discard + rebuild
 # ======================================================================
 def _tiny_checkpoint_states():
-    lm_state = {"emb": np.arange(12, dtype=np.float64).reshape(3, 4)}
+    vocab = Vocabulary.from_tokens(SPECIAL_TOKENS + ["alpha", "beta"],
+                                   num_oov_buckets=3)
+    rows = len(vocab)
+    lm_state = {"embedding.weight": np.arange(rows * 4, dtype=np.float64).reshape(rows, 4)}
     head_state = {"w": np.ones((4, 2)), "b": np.zeros(2)}
-    return lm_state, head_state
+    return lm_state, head_state, vocab
+
+
+def _assert_same_vocab(got: Vocabulary, want: Vocabulary) -> None:
+    assert got._id_to_token == want._id_to_token
+    assert got.num_oov_buckets == want.num_oov_buckets
 
 
 class TestCorruptLMCheckpoint:
     def test_roundtrip(self, tmp_path):
         path = tmp_path / "ck.npz"
-        lm_state, head_state = _tiny_checkpoint_states()
-        _write_checkpoint(path, lm_state, head_state)
-        loaded_lm, loaded_head = _read_checkpoint(path)
+        lm_state, head_state, vocab = _tiny_checkpoint_states()
+        _write_checkpoint(path, lm_state, head_state, vocab)
+        loaded_lm, loaded_head, loaded_vocab = _read_checkpoint(path)
         for k in lm_state:
             assert np.array_equal(loaded_lm[k], lm_state[k])
         for k in head_state:
             assert np.array_equal(loaded_head[k], head_state[k])
+        _assert_same_vocab(loaded_vocab, vocab)
         assert not list(tmp_path.glob("*.tmp.*"))  # atomic write left no debris
 
     def test_injected_parse_corruption_discards_and_counts(self, tmp_path):
@@ -248,19 +258,73 @@ class TestCorruptLMCheckpoint:
         persisting the checkpoint is retried, and the retried file is intact
         (no truncated/partial artifact from the failed attempt)."""
         path = tmp_path / "ck.npz"
-        lm_state, head_state = _tiny_checkpoint_states()
+        lm_state, head_state, vocab = _tiny_checkpoint_states()
         with inject(FaultPlan.single("lm.checkpoint.write", "transient")) as plan:
             retry_with_backoff(
-                lambda: _write_checkpoint(path, lm_state, head_state),
+                lambda: _write_checkpoint(path, lm_state, head_state, vocab),
                 sleep=lambda _: None)
         assert plan.fired("lm.checkpoint.write", "transient") == 1
         assert COUNTERS.transient_retries == 1
         assert not list(tmp_path.glob("*.tmp.*"))  # no half-written debris
-        loaded_lm, loaded_head = _read_checkpoint(path)
+        loaded_lm, loaded_head, loaded_vocab = _read_checkpoint(path)
         for k in lm_state:
             assert np.array_equal(loaded_lm[k], lm_state[k])
         for k in head_state:
             assert np.array_equal(loaded_head[k], head_state[k])
+        _assert_same_vocab(loaded_vocab, vocab)
+
+    @pytest.mark.parametrize("damage", ["no_vocab", "vocab_size_mismatch",
+                                        "parse_fault"])
+    def test_load_checkpoint_rebuilds_a_bad_vocab_bitwise(
+            self, tmp_path, monkeypatch, damage):
+        """End to end through ``load_checkpoint``: the damaged file is
+        discarded, counted, and rebuilt to the same weights and vocabulary."""
+        from repro.lm import checkpoint as ck
+
+        monkeypatch.setenv("REPRO_LM_CACHE", str(tmp_path))
+        monkeypatch.setattr(ck, "_memory_cache", {})
+        lm_a, head_a = ck.load_checkpoint("roberta", steps=1)
+        (path,) = tmp_path.glob("*.npz")
+        with np.load(path) as data:
+            payload = {k: data[k] for k in data.files}
+        if damage == "no_vocab":
+            del payload["vocab:tokens"], payload["vocab:oov_buckets"]
+        elif damage == "vocab_size_mismatch":  # one token short of the rows
+            payload["vocab:tokens"] = payload["vocab:tokens"][:-1]
+        with open(path, "wb") as fh:
+            np.savez(fh, **payload)
+
+        monkeypatch.setattr(ck, "_memory_cache", {})
+        plan = FaultPlan.single("lm.checkpoint.parse", "corrupt") \
+            if damage == "parse_fault" else FaultPlan(())
+        with inject(plan):
+            lm_b, head_b = ck.load_checkpoint("roberta", steps=1)
+        assert COUNTERS.checkpoint_rebuilds == 1
+        state_a, state_b = lm_a.state_dict(), lm_b.state_dict()
+        assert state_a.keys() == state_b.keys()
+        for k in state_a:
+            assert np.array_equal(state_a[k], state_b[k])
+        for k in head_a:
+            assert np.array_equal(head_a[k], head_b[k])
+        _assert_same_vocab(lm_b.vocab, lm_a.vocab)
+        _assert_same_vocab(_read_checkpoint(path)[2], lm_a.vocab)  # healed
+
+    def test_load_checkpoint_absorbs_a_transient_write(self, tmp_path, monkeypatch):
+        """A transient fault while ``load_checkpoint`` persists a fresh
+        pre-training is retried; the file it leaves ships the vocabulary."""
+        from repro.lm import checkpoint as ck
+
+        monkeypatch.setenv("REPRO_LM_CACHE", str(tmp_path))
+        monkeypatch.setattr(ck, "_memory_cache", {})
+        with inject(FaultPlan.single("lm.checkpoint.write", "transient")) as plan:
+            lm, _ = ck.load_checkpoint("roberta", steps=1)
+        assert plan.fired("lm.checkpoint.write", "transient") == 1
+        assert COUNTERS.transient_retries == 1
+        (path,) = tmp_path.glob("*.npz")
+        loaded_lm, _, loaded_vocab = _read_checkpoint(path)
+        _assert_same_vocab(loaded_vocab, lm.vocab)
+        for k, v in lm.state_dict().items():
+            assert np.array_equal(loaded_lm[k], v)
 
     @pytest.mark.slow
     def test_full_load_checkpoint_rebuilds_identically(self, tmp_path, monkeypatch):
@@ -281,6 +345,8 @@ class TestCorruptLMCheckpoint:
         assert state_a.keys() == state_b.keys()
         for k in state_a:  # pre-training is seeded: the rebuild is bitwise
             assert np.array_equal(state_a[k], state_b[k])
+        _assert_same_vocab(lm_b.vocab, lm_a.vocab)
+        _assert_same_vocab(_read_checkpoint(cached[0])[2], lm_a.vocab)
 
 
 # ======================================================================

@@ -1361,6 +1361,108 @@ class TestShutdownCheckpoint:
             _resume(wal_dir, blocker=filled)
 
 
+class _FlakyScorer(JaccardScorer):
+    """Raises on its ``fail_on``-th ``scores`` call (after running
+    ``during``), then scores like :class:`JaccardScorer`."""
+
+    def __init__(self, fail_on: int = 1, during=None):
+        self.calls = 0
+        self.fail_on = fail_on
+        self.during = during
+
+    def scores(self, pairs):
+        self.calls += 1
+        if self.calls == self.fail_on:
+            if self.during is not None:
+                self.during()
+            raise RuntimeError("scorer down")
+        return super().scores(pairs)
+
+
+class TestFailedScoring:
+    """A group whose scoring raises goes back to the head of the queue:
+    its records are never stranded ``pending`` nor checkpointed away."""
+
+    def _offer_one_group(self, resolver: StreamingResolver,
+                         records: List[Entity]) -> None:
+        """Buffer records 1.. behind a gap, then release all of them as
+        one group with record 0; that group's scoring raises."""
+        for seq, record in list(enumerate(records))[1:]:
+            resolver.offer(record, seq=seq)
+        with pytest.raises(RuntimeError, match="scorer down"):
+            resolver.offer(records[0], seq=0)
+
+    def test_failed_group_is_retried_and_resumes_identically(self, tmp_path):
+        records = _group_stream(groups=2, views=3)
+        clean = _checkpointed(str(tmp_path / "clean"), records)
+        wal_dir = str(tmp_path / "wal")
+        scorer = _FlakyScorer()
+        live = StreamingResolver(scorer, config=ResolveConfig(seed=1),
+                                 wal=_wal(wal_dir))
+        self._offer_one_group(live, records)
+        stats = _assert_conserved(live)
+        assert stats["pending"] == 6 and stats["queued"] == 6
+        live.drain()  # the retry
+        stats = _assert_conserved(live)
+        assert stats["pending"] == 0 and stats["clustered"] == 6
+        assert scorer.calls == 2
+        assert live.store.digest() == clean.store.digest()
+        _assert_same_state(_resume(wal_dir), live)   # crash resume
+        live.close()
+        _assert_same_state(_resume(wal_dir), live)   # checkpoint resume
+
+    def test_failed_drain_in_close_writes_no_checkpoint(self, tmp_path):
+        records = _group_stream(groups=2, views=3)
+        wal_dir = str(tmp_path / "wal")
+        live = StreamingResolver(_FlakyScorer(), config=ResolveConfig(seed=1),
+                                 wal=_wal(wal_dir))
+        for seq, record in list(enumerate(records))[1:]:
+            live.offer(record, seq=seq)     # all held behind the seq-0 gap
+        with pytest.raises(RuntimeError, match="scorer down"):
+            live.close()
+        assert wal_module.CHECKPOINT_NAME not in os.listdir(wal_dir)
+        assert _assert_conserved(live)["pending"] == 5
+        arrived = [entry["record"]["uid"] for entry in live.wal.replay()
+                   if entry["type"] == "arrive"]
+        assert arrived == [record.uid for record in records[1:]]
+        live.close()                        # retries the stranded records
+        stats = _assert_conserved(live)
+        assert stats["pending"] == 0 and stats["clustered"] == 5
+        assert wal_module.CHECKPOINT_NAME in os.listdir(wal_dir)
+        _assert_same_state(_resume(wal_dir), live)
+
+    def test_retraction_racing_a_failed_group_is_counted(self, tmp_path):
+        records = _group_stream(groups=2, views=3)
+        wal_dir = str(tmp_path / "wal")
+        retracted: List[bool] = []
+
+        def retract_from_another_thread():
+            worker = threading.Thread(
+                target=lambda: retracted.append(live.retract("g0v1")))
+            worker.start()
+            worker.join()
+
+        live = StreamingResolver(
+            _FlakyScorer(during=retract_from_another_thread),
+            config=ResolveConfig(seed=1), wal=_wal(wal_dir))
+        self._offer_one_group(live, records)
+        assert retracted == [True]
+        stats = _assert_conserved(live)
+        assert stats["retracted"] == 1 and stats["pending"] == 5
+        assert live.retract("g0v1") is False
+        live.drain()
+        stats = _assert_conserved(live)
+        assert stats == {**stats, "pending": 0, "clustered": 5,
+                         "retracted": 1}
+        assert live.store.assign("g0v1") is None
+        logged = [entry["uid"] for entry in live.wal.replay()
+                  if entry["type"] == "retract"]
+        assert logged == ["g0v1"]
+        _assert_same_state(_resume(wal_dir), live)   # crash resume
+        live.close()
+        _assert_same_state(_resume(wal_dir), live)   # checkpoint resume
+
+
 class TestCheckpointFaultSites:
     """``resolve.checkpoint`` and ``resolve.compact``: every fault
     resumes to the uninterrupted digest with conservation intact."""
