@@ -2,7 +2,7 @@
 
 PYTHON ?= python3
 
-.PHONY: install test lint ci coverage check bench bench-full bench-serve bench-robust bench-block examples report clean-cache
+.PHONY: install test lint ci coverage check bench examples clean-cache
 
 install:
 	$(PYTHON) setup.py develop
@@ -28,10 +28,10 @@ lint:
 # asserting no crash and record conservation), an embedding-store smoke
 # (build a tiny shard set, score the test split from it, and assert
 # bitwise store/live parity plus full store coverage: `embed --verify`
-# exits non-zero on either), and a streaming-resolution smoke (~500-record
-# multi-source stream: streaming must equal offline batch clustering
-# exactly, and a SIGKILLed `repro resolve` run must resume to a
-# bitwise-identical cluster state).
+# exits non-zero on either).  The streaming-resolution kill drill (a
+# SIGKILLed `repro resolve` run resumes to a bitwise-identical cluster
+# state; `TestKillDrill` in tests/test_resolve.py) and streaming ==
+# offline on the same 450-record stream are fast tests.
 # Right after lint, `repro lockgraph` checks the static lock graph against
 # LOCK_HIERARCHY and exits 1 on a cycle.
 ci: lint
@@ -44,7 +44,6 @@ ci: lint
 	PYTHONPATH=src $(PYTHON) -m repro embed --dataset Beer --fast \
 		--store .repro-ci-store --verify
 	rm -rf .repro-ci-store
-	PYTHONPATH=src $(PYTHON) benchmarks/run_resolve.py --smoke
 
 # Line coverage of src/repro over the fast tier (tools/cov.py uses
 # coverage.py when installed, else a built-in settrace fallback).
@@ -73,30 +72,6 @@ check:
 bench:
 	$(PYTHON) -m pytest benchmarks/ --benchmark-only -s
 
-# Serving-layer soak benchmark: clean/chaos/pressure soaks plus the
-# 1/2/4-replica cluster scaling curve, writes BENCH_serve.json.
-bench-serve:
-	PYTHONPATH=src $(PYTHON) benchmarks/run_serve.py
-
-# Corruption-robustness benchmark: F1 + quarantine/drift rates vs corruption
-# rate for HierGAT/Ditto/Magellan, writes BENCH_robust.json.
-bench-robust:
-	PYTHONPATH=src $(PYTHON) benchmarks/run_robust.py
-
-# Blocking benchmark: PC/RR curves at 10k + the streaming 1M-record build,
-# writes BENCH_block.json.
-bench-block:
-	PYTHONPATH=src $(PYTHON) benchmarks/run_block.py
-
-# Streaming-resolution benchmark: records/s through the WAL-backed
-# incremental cluster store, streaming-vs-offline equality, and the timed
-# kill -9 + resume drill (bitwise recovery); writes BENCH_resolve.json.
-bench-resolve:
-	PYTHONPATH=src $(PYTHON) benchmarks/run_resolve.py
-
-bench-full:
-	$(PYTHON) benchmarks/run_all.py
-
 examples:
 	$(PYTHON) examples/quickstart.py --fast
 	$(PYTHON) examples/product_matching.py --fast
@@ -104,9 +79,6 @@ examples:
 	$(PYTHON) examples/dirty_data_robustness.py --fast
 	$(PYTHON) examples/label_efficiency.py --fast
 	$(PYTHON) examples/explain_and_deploy.py --fast
-
-report:
-	$(PYTHON) benchmarks/make_report.py
 
 clean-cache:
 	rm -rf .lm_cache

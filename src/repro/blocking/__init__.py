@@ -1,6 +1,6 @@
 """Blocking: cheap candidate filtering before matching (Section 2.1, 6.3).
 
-Four blockers are provided behind the shared :class:`Blocker` interface
+Three blockers are provided behind the shared :class:`Blocker` interface
 (see ``docs/BLOCKING.md``):
 
 * :func:`overlap_blocker` / :class:`OverlapBlocker` — keyword/word-overlap
@@ -11,16 +11,13 @@ Four blockers are provided behind the shared :class:`Blocker` interface
   query entity, Section 6.3).
 * :class:`MinHashLSHBlocker` — MinHash/LSH banding over token shingles;
   streaming builds, O(1)-amortized incremental ``add``.
-* :class:`RandomProjectionBlocker` — signed random projection (SimHash)
-  over hashed token vectors or caller-supplied embeddings.
 
 :func:`candidate_pairs` adapts any blocker to the cross-table ``(i, j)``
 pair-list shape the pipeline consumes; :func:`evaluate_blocker` scores a
 pair list for pairs-completeness / reduction ratio.
 """
 
-from repro.blocking.ann import (MinHashLSHBlocker, RandomProjectionBlocker,
-                                collision_probability)
+from repro.blocking.ann import MinHashLSHBlocker, collision_probability
 from repro.blocking.base import Blocker, candidate_pairs
 from repro.blocking.evaluation import BlockerQuality, evaluate_blocker
 from repro.blocking.keyword import (OverlapBlocker, overlap_blocker,
@@ -32,7 +29,6 @@ __all__ = [
     "BlockerQuality",
     "MinHashLSHBlocker",
     "OverlapBlocker",
-    "RandomProjectionBlocker",
     "TfidfBlocker",
     "TfidfIndex",
     "candidate_pairs",

@@ -1,28 +1,20 @@
-"""Approximate-nearest-neighbour blocking: MinHash/LSH and random projection.
+"""Approximate-nearest-neighbour blocking: MinHash/LSH.
 
 The classic blockers in this package score candidates against the *whole*
 indexed table (TF-IDF) or touch every colliding token pair (overlap), which
-caps datasets at toy size.  The two indexes here generate candidates from
-hash-bucket collisions instead, so indexing is streaming (``add`` is O(1)
-amortized per record), no all-pairs structure is ever materialized, and a
-query touches only the records it collides with:
+caps datasets at toy size.  :class:`MinHashLSHBlocker` generates candidates
+from hash-bucket collisions instead, so indexing is streaming (``add`` is
+O(1) amortized per record), no all-pairs structure is ever materialized,
+and a query touches only the records it collides with.  Its minhash
+signatures run over token (or character n-gram) shingles and are banded
+into LSH buckets; the collision probability for Jaccard similarity ``s`` is
+the classic ``1 - (1 - s^r)^b`` S-curve (:func:`collision_probability`).
 
-* :class:`MinHashLSHBlocker` — minhash signatures over token (or character
-  n-gram) shingles, banded LSH buckets; collision probability for Jaccard
-  similarity ``s`` is the classic ``1 - (1 - s^r)^b`` S-curve
-  (:func:`collision_probability`).
-* :class:`RandomProjectionBlocker` — signed random hyperplane projection
-  (SimHash) over a feature-hashed log-TF token vector, or over any
-  caller-supplied embedding (``embed_fn`` — e.g. the frozen-LM record
-  embeddings served by :mod:`repro.store`); bit-band buckets, candidates
-  ranked by Hamming distance.
-
-Both share the banded-index machinery in :class:`_BandedNNIndex` and the
-:class:`~repro.blocking.base.Blocker` contracts: seeded determinism, sorted
-duplicate-free emission, uid-based self-pair exclusion, and bitwise
+The banded-index machinery lives in :class:`_BandedNNIndex`, which keeps
+the :class:`~repro.blocking.base.Blocker` contracts: seeded determinism,
+sorted duplicate-free emission, uid-based self-pair exclusion, and bitwise
 ``add == rebuild`` parity (a record's signature row depends only on the
-record and the seed, never on the rest of the corpus — which is also why
-the projection uses feature hashing rather than corpus IDF weights).
+record and the seed, never on the rest of the corpus).
 
 Reliability: every query passes the registered ``blocking.index`` fault
 site.  Signature rows carry a per-row checksum; a corrupt row detected
@@ -39,14 +31,13 @@ from __future__ import annotations
 import functools
 import hashlib
 import itertools
-import math
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.blocking.base import Blocker
 from repro.data.schema import Entity
-from repro.perf.cache import get_cache, params_version
+from repro.perf.cache import params_version
 from repro.reliability.counters import COUNTERS
 from repro.reliability.faults import CorruptDataFault, fault_point
 from repro.text.tokenizer import tokenize
@@ -81,7 +72,7 @@ def collision_probability(similarity: float, rows_per_band: int,
 
 
 class _BandedNNIndex(Blocker):
-    """Shared banded-signature machinery for the two ANN blockers.
+    """Banded-signature machinery for an ANN blocker.
 
     Subclasses define a fixed-width ``uint64`` signature row per record
     (:meth:`_row_batch`), how rows map to band bucket values
@@ -94,10 +85,9 @@ class _BandedNNIndex(Blocker):
     #: uint64 columns per signature row (set by subclass __init__).
     row_width: int
 
-    def __init__(self, seed: int, bands: int, keep_records: bool = True):
+    def __init__(self, seed: int, bands: int):
         self.seed = int(seed)
         self.bands = int(bands)
-        self.keep_records = keep_records
         self._reset()
 
     # -- subclass API ---------------------------------------------------
@@ -127,13 +117,10 @@ class _BandedNNIndex(Blocker):
         #: function of the record and the weights, see :meth:`_row_batch`).
         self._last: Optional[
             Tuple[List[Entity], int, np.ndarray, np.ndarray]] = None
-        self._records: Optional[List[Entity]] = [] if self.keep_records else None
+        self._records: List[Entity] = []
 
     @property
     def records(self) -> Sequence[Entity]:
-        if self._records is None:
-            raise RuntimeError(
-                f"{type(self).__name__} was built with keep_records=False")
         return self._records
 
     def __len__(self) -> int:
@@ -196,8 +183,7 @@ class _BandedNNIndex(Blocker):
             for key in enumerate(values):
                 self._buckets.setdefault(key, []).append(record_id)
             self._uid_ids.setdefault(entity.uid, []).append(record_id)
-        if self._records is not None:
-            self._records.extend(chunk)
+        self._records.extend(chunk)
         self._n += len(chunk)
 
     # -- checkpoint -----------------------------------------------------
@@ -334,12 +320,7 @@ class _BandedNNIndex(Blocker):
 
     # -- recovery -------------------------------------------------------
     def _rebuild(self) -> None:
-        if self._records is None:
-            raise CorruptDataFault(
-                f"{type(self).__name__}: index corrupt and records were not "
-                f"retained (keep_records=False); re-fit from source data")
-        retained = list(self._records)
-        self.fit(retained)
+        self.fit(self._records)
         COUNTERS.increment("blocking_index_rebuilds")
 
 
@@ -360,7 +341,7 @@ class MinHashLSHBlocker(_BandedNNIndex):
     name = "lsh"
 
     def __init__(self, seed: int = 0, num_perm: int = 32, bands: int = 16,
-                 char_ngrams: Optional[int] = None, keep_records: bool = True):
+                 char_ngrams: Optional[int] = None):
         if num_perm < 1 or bands < 1 or num_perm % bands:
             raise ValueError("num_perm must be a positive multiple of bands")
         if char_ngrams is not None and char_ngrams < 1:
@@ -374,7 +355,7 @@ class MinHashLSHBlocker(_BandedNNIndex):
         self._mult = rng.integers(1, 1 << 62, size=num_perm,
                                   dtype=np.uint64) * np.uint64(2) + np.uint64(1)
         self._offset = rng.integers(0, 1 << 62, size=num_perm, dtype=np.uint64)
-        super().__init__(seed=seed, bands=bands, keep_records=keep_records)
+        super().__init__(seed=seed, bands=bands)
 
     def collision_probability(self, similarity: float) -> float:
         """P(bucket collision) at Jaccard similarity ``similarity``."""
@@ -429,108 +410,3 @@ class MinHashLSHBlocker(_BandedNNIndex):
         equal = (rows == qrow).view(np.dtype(f"u{width}"))
         return np.einsum("ij->i", np.bitwise_count(equal).astype(np.int64))
 
-
-class RandomProjectionBlocker(_BandedNNIndex):
-    """Signed random-projection (SimHash) index with bit-band buckets.
-
-    Each record becomes a ``planes``-bit code: the signs of its embedding
-    projected onto seeded random hyperplanes.  By default the embedding is
-    a feature-hashed log-TF token vector — each token contributes a
-    deterministic per-token Gaussian direction, which makes a record's code
-    independent of the rest of the corpus (the property that buys bitwise
-    ``add == rebuild`` parity).  Pass ``embed_fn`` to project dense record
-    embeddings instead (e.g. frozen-LM vectors from the embedding store);
-    ``embed_fn`` must be a pure function of the record, and its outputs are
-    memoized in the ``blocking`` LRU keyed on ``params_version()`` (R005) so
-    a weight reload can never serve stale projections.
-
-    Codes are banded into ``bands`` groups of ``planes // bands`` bits
-    (classic hyperplane LSH); collided candidates are ranked by Hamming
-    distance.
-    """
-
-    name = "rp"
-
-    def __init__(self, seed: int = 0, planes: int = 64, bands: int = 8,
-                 embed_fn: Optional[Callable[[Entity], np.ndarray]] = None,
-                 keep_records: bool = True):
-        if planes < 1 or bands < 1 or planes % bands:
-            raise ValueError("planes must be a positive multiple of bands")
-        self.planes = int(planes)
-        self.bits_per_band = int(planes // bands)
-        if self.bits_per_band > 63:
-            raise ValueError("planes // bands must be <= 63 (band bucket "
-                             "values are uint64)")
-        self.embed_fn = embed_fn
-        self._words = (self.planes + 63) // 64
-        self.row_width = bands + self._words
-        self._token_dirs: Dict[str, np.ndarray] = {}
-        self._projection: Optional[np.ndarray] = None
-        super().__init__(seed=seed, bands=bands, keep_records=keep_records)
-
-    def index_params(self) -> Dict[str, object]:
-        embed = self.embed_fn
-        return {"seed": self.seed, "planes": self.planes, "bands": self.bands,
-                "embed_fn": None if embed is None else getattr(
-                    embed, "__qualname__", type(embed).__name__)}
-
-    # -- embeddings -----------------------------------------------------
-    def _token_direction(self, token: str) -> np.ndarray:
-        direction = self._token_dirs.get(token)
-        if direction is None:
-            rng = np.random.default_rng(
-                np.random.SeedSequence([self.seed, token_hash(token)]))
-            direction = rng.standard_normal(self.planes)
-            self._token_dirs[token] = direction
-        return direction
-
-    def _vector(self, entity: Entity) -> np.ndarray:
-        if self.embed_fn is not None:
-            key = ("blocking.embed", self.seed, entity.uid, entity.text(),
-                   params_version())
-            embedded = get_cache("blocking").get_or_compute(
-                key, lambda: np.asarray(self.embed_fn(entity),
-                                        dtype=np.float64).ravel())
-            if self._projection is None:
-                rng = np.random.default_rng(
-                    np.random.SeedSequence([self.seed, len(embedded)]))
-                self._projection = rng.standard_normal(
-                    (len(embedded), self.planes))
-            if len(embedded) != len(self._projection):
-                raise ValueError(
-                    f"embed_fn dimension changed: got {len(embedded)}, "
-                    f"projection is {len(self._projection)}")
-            return embedded @ self._projection
-        counts: Dict[str, int] = {}
-        for token in tokenize(entity.text()):
-            counts[token] = counts.get(token, 0) + 1
-        vector = np.zeros(self.planes)
-        for token in sorted(counts):
-            vector = vector + (1.0 + math.log(counts[token])) \
-                * self._token_direction(token)
-        return vector
-
-    # -- signatures -----------------------------------------------------
-    def _row_batch(self, entities: Sequence[Entity]) -> np.ndarray:
-        rows = np.zeros((len(entities), self.row_width), dtype=np.uint64)
-        r = self.bits_per_band
-        band_pow = np.left_shift(np.uint64(1), np.arange(r, dtype=np.uint64))
-        word_pow = np.left_shift(np.uint64(1), np.arange(64, dtype=np.uint64))
-        for i, entity in enumerate(entities):
-            bits = (self._vector(entity) >= 0.0).astype(np.uint64)
-            bands = bits.reshape(self.bands, r)
-            rows[i, :self.bands] = (bands * band_pow[None, :]).sum(
-                axis=1, dtype=np.uint64)
-            padded = np.zeros(self._words * 64, dtype=np.uint64)
-            padded[:self.planes] = bits
-            words = padded.reshape(self._words, 64)
-            rows[i, self.bands:] = (words * word_pow[None, :]).sum(
-                axis=1, dtype=np.uint64)
-        return rows
-
-    def _band_values(self, rows: np.ndarray) -> np.ndarray:
-        return rows[:, :self.bands]
-
-    def _agreement(self, rows: np.ndarray, qrow: np.ndarray) -> np.ndarray:
-        differ = np.bitwise_count(rows[:, self.bands:] ^ qrow[self.bands:])
-        return self.planes - np.einsum("ij->i", differ.astype(np.int64))

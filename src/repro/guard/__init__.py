@@ -12,7 +12,7 @@ Spans offline ingestion and online serving:
 * :mod:`repro.guard.drift` — tumbling-window drift monitors (OOV rate,
   null rates, value-length KS, score KS/PSI) against fit-time baselines.
 * :mod:`repro.guard.perturb` — seeded corruption generators for the
-  robustness benchmark (``make bench-robust``).
+  corruption-robustness curve (``repro bench robust``).
 
 See ``docs/ROBUSTNESS.md`` for the architecture and contracts.
 """

@@ -14,9 +14,9 @@ and each matcher is scored on what survives.  Three series per matcher:
   using a baseline frozen from the matcher's own fit (vocab + validation
   scores).
 
-``benchmarks/run_robust.py`` serializes the raw series into
-``BENCH_robust.json``; ``repro bench --experiment robust`` renders the
-table.
+``repro bench robust`` renders the table; the slow test
+``test_robustness_curve_clean_point_is_untouched`` in ``tests/test_guard.py``
+asserts that the rate-0.0 point quarantines nothing and flags no drift.
 """
 
 from __future__ import annotations

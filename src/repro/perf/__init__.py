@@ -3,9 +3,8 @@
 Three things live here:
 
 * the registry of named, bounded LRU caches (:func:`get_cache`) used by the
-  embedding store (``store``) and the embedding blocker (``blocking``),
-  with :func:`cache_stats`, :func:`clear_caches`, :func:`reset_stats` and
-  :func:`resize`;
+  embedding store (``store``), with :func:`cache_stats`,
+  :func:`clear_caches`, :func:`reset_stats` and :func:`resize`;
 * :func:`params_version` / :func:`bump_params_version`, which key every
   weight-derived cache entry, and :func:`instance_token`;
 * the op-level profiler, always off unless explicitly started; see

@@ -1,8 +1,7 @@
 """Bounded, named LRU caches and the weights version that keys them.
 
 The registry here backs the embedding store's fronting LRU (``store``:
-shard reads and live encodes of stored records) and the embedding
-blocker's record-vector memo (``blocking``).
+shard reads and live encodes of stored records).
 
 Everything in this module is dependency-light (numpy-only values, plain
 Python containers, plus the stdlib-only ``repro.reliability`` leaf modules)

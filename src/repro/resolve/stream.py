@@ -170,9 +170,8 @@ class StreamingResolver:
         elif not isinstance(blocker, _BandedNNIndex):
             raise TypeError(
                 f"StreamingResolver needs a banded ANN index "
-                f"(MinHashLSHBlocker or RandomProjectionBlocker) for its "
-                f"group queries and checkpoints, got "
-                f"{type(blocker).__name__}")
+                f"(MinHashLSHBlocker) for its group queries and "
+                f"checkpoints, got {type(blocker).__name__}")
         self.scorer = scorer
         self.config = config
         self.blocker = blocker
@@ -577,7 +576,7 @@ class StreamingResolver:
             if kind == "arrive":
                 replayed.extend(resolver._replay_arrive(entry, logged))
             elif kind == "retract":
-                resolver._replay_retract(entry)
+                replayed.extend(resolver._replay_retract(entry, logged))
         resolver.blocker.add_many(replayed)
         with resolver._lock:
             resolver.wal = wal
@@ -593,7 +592,6 @@ class StreamingResolver:
         resolution it applied (for the caller to index)."""
         record = _record_from(entry["record"])
         seq = int(entry["seq"])
-        to_apply: List[Tuple[Entity, List[ScoredEdge]]] = []
         with self._lock:
             if record.uid in self._seen:
                 return []
@@ -602,34 +600,19 @@ class StreamingResolver:
             self._pending += 1
             self._auto_seq = max(self._auto_seq, seq + 1)
             self._queue.extend(self._buffer.offer(seq, record))
-            # Consume releases whose resolution was logged before the
-            # crash; the first unlogged release stops the FIFO (live
-            # re-scoring happens once the whole log is applied).
-            while self._queue:
-                uid = self._queue[0].record.uid
-                if uid in self._dropped:
-                    self._queue.pop(0)
-                    self._dropped.discard(uid)
-                    continue
-                if uid not in logged:
-                    break
-                arrival = self._queue.pop(0)
-                replayed = logged.pop(uid)
-                to_apply.append((arrival.record,
-                                 [ScoredEdge.from_dict(raw)
-                                  for raw in replayed.get("edges", [])]))
-                self._pending -= 1
-                self._clustered += 1
-                self._resolved.add(uid)
-        for replay_record, edges in to_apply:
-            self._apply_edges(replay_record, edges)
-        return [replay_record for replay_record, _ in to_apply]
+            to_apply = self._consume_logged(logged)
+        return self._apply_logged(to_apply)
 
-    def _replay_retract(self, entry: Dict[str, object]) -> None:
+    def _replay_retract(self, entry: Dict[str, object],
+                        logged: Dict[str, Dict[str, object]]
+                        ) -> List[Entity]:
+        """Re-apply one logged retraction; a pending record it drops from
+        the head of the queue lets the logged releases behind it go, and
+        those are returned like :meth:`_replay_arrive`'s."""
         uid = str(entry["uid"])
         with self._lock:
             if uid not in self._seen or uid in self._retracted:
-                return
+                return []
             resolved = uid in self._resolved
             if resolved:
                 self._resolved.discard(uid)
@@ -639,5 +622,38 @@ class StreamingResolver:
                 self._pending -= 1
             self._retracted.add(uid)
             self._retracted_n += 1
+            to_apply = self._consume_logged(logged)
         if resolved:
             self.store.retract(uid)
+        return self._apply_logged(to_apply)
+
+    def _consume_logged(self, logged: Dict[str, Dict[str, object]]
+                        ) -> List[Tuple[Entity, List[ScoredEdge]]]:
+        """Take the queued releases whose resolution was logged before
+        the crash, in release order, with their logged edges; the first
+        unlogged release stops the FIFO (live re-scoring happens once the
+        whole log is applied).  Caller holds the lock."""
+        to_apply: List[Tuple[Entity, List[ScoredEdge]]] = []
+        while self._queue:
+            uid = self._queue[0].record.uid
+            if uid in self._dropped:
+                self._queue.pop(0)
+                self._dropped.discard(uid)
+                continue
+            if uid not in logged:
+                break
+            arrival = self._queue.pop(0)
+            replayed = logged.pop(uid)
+            to_apply.append((arrival.record,
+                             [ScoredEdge.from_dict(raw)
+                              for raw in replayed.get("edges", [])]))
+            self._pending -= 1
+            self._clustered += 1
+            self._resolved.add(uid)
+        return to_apply
+
+    def _apply_logged(self, to_apply: List[Tuple[Entity, List[ScoredEdge]]]
+                      ) -> List[Entity]:
+        for record, edges in to_apply:
+            self._apply_edges(record, edges)
+        return [record for record, _ in to_apply]

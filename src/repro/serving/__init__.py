@@ -5,8 +5,7 @@ router/replica cluster with cross-request batch coalescing and a
 consistent-hash-sharded blocking index (:class:`ClusterService`).
 
 Stdlib threading + multiprocessing only; see ``docs/SERVING.md`` for the
-architecture and ``repro serve`` / ``benchmarks/run_serve.py`` for the
-entry points.
+architecture and ``repro serve`` for the entry point.
 """
 
 from repro.serving.breaker import (

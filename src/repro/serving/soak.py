@@ -14,8 +14,7 @@ poisoned cache entries, and slow-call stalls at the registered
   the same pairs.
 
 The report carries throughput and p50/p99 latency (overall and per tier),
-which ``benchmarks/run_serve.py`` serializes into ``BENCH_serve.json`` and
-``repro serve --soak`` prints.
+which ``repro serve --soak`` prints.
 
 Client workload composition is seeded (R001): request slices are drawn
 from a caller-seeded generator, so two soaks with the same seed submit the

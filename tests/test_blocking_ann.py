@@ -15,8 +15,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.blocking import (MinHashLSHBlocker, RandomProjectionBlocker,
-                            collision_probability, evaluate_blocker)
+from repro.blocking import (MinHashLSHBlocker, collision_probability,
+                            evaluate_blocker)
 from repro.blocking.evaluation import corrupted_copy_tables
 from repro.data.di2kg import di2kg_spec
 from repro.data.generators import generate_source_tables
@@ -26,7 +26,7 @@ from repro.matchers.base import Matcher
 from repro.perf.cache import bump_params_version
 from repro.pipeline import ERPipeline
 from repro.reliability.counters import COUNTERS
-from repro.reliability.faults import CorruptDataFault, FaultPlan, inject
+from repro.reliability.faults import FaultPlan, inject
 from repro.serving.service import InferenceService, ServingConfig
 from repro.serving.tiers import DegradationCascade, ScoringTier
 from repro.text.tokenizer import tokenize
@@ -112,6 +112,23 @@ class TestLSHRecallBound:
             assert 300 * 1000 / quality.num_candidates >= 5, (k, str(quality))
             assert quality.harmonic_mean >= 0.9
 
+    @pytest.mark.slow
+    def test_10k_tier_reaches_pc_at_reduction(self):
+        # The 10k-record blocking gate: 2k corrupted-copy queries against
+        # 10k indexed records keep pair completeness >= 0.95 at a >= 10x
+        # reduction of the cross product, at every k.
+        table, queries, truth = corrupted_copy_tables(10_000, 2_000, 1234)
+        blocker = MinHashLSHBlocker(seed=1234, num_perm=32, bands=16)
+        blocker.fit(table)
+        for k in (4, 8, 16, 32):
+            pairs = [(qi, j) for qi, record in enumerate(queries)
+                     for j in blocker.candidates(record, k=k)]
+            quality = evaluate_blocker(pairs, truth, (2_000, 10_000))
+            assert quality.num_true_matches == 2_000
+            assert quality.pairs_completeness >= 0.95, (k, str(quality))
+            assert 2_000 * 10_000 / quality.num_candidates >= 10, \
+                (k, str(quality))
+
     def test_collision_probability_curve(self):
         blocker = MinHashLSHBlocker(seed=0, num_perm=32, bands=16)
         assert blocker.collision_probability(0.0) == 0.0
@@ -128,8 +145,7 @@ class TestLSHRecallBound:
 class TestAnnFuzz:
     @pytest.mark.parametrize("factory", [
         lambda: MinHashLSHBlocker(seed=3),
-        lambda: RandomProjectionBlocker(seed=3),
-    ], ids=["lsh", "rp"])
+    ], ids=["lsh"])
     def test_mangled_queries_keep_contracts(self, factory):
         rng = np.random.default_rng(7)
         table = _seeded_table(64, seed=7)
@@ -143,8 +159,7 @@ class TestAnnFuzz:
 
     @pytest.mark.parametrize("factory", [
         lambda: MinHashLSHBlocker(seed=3),
-        lambda: RandomProjectionBlocker(seed=3),
-    ], ids=["lsh", "rp"])
+    ], ids=["lsh"])
     def test_unicode_empty_duplicate_values(self, factory):
         table = [
             _record("u0", "café résumé 中文"),
@@ -176,10 +191,6 @@ class TestAnnFuzz:
         with pytest.raises(ValueError):
             MinHashLSHBlocker(num_perm=30, bands=16)  # not a multiple
         with pytest.raises(ValueError):
-            RandomProjectionBlocker(planes=60, bands=8)
-        with pytest.raises(ValueError):
-            RandomProjectionBlocker(planes=128, bands=2)  # >63-bit bands
-        with pytest.raises(ValueError):
             MinHashLSHBlocker(char_ngrams=0)
 
 
@@ -188,12 +199,10 @@ class TestAnnFuzz:
 # ======================================================================
 ANN_FACTORIES = [
     lambda: MinHashLSHBlocker(seed=4, num_perm=32, bands=16),
-    lambda: RandomProjectionBlocker(seed=4, planes=64, bands=8),
-    # Row widths that are not a multiple of 8 (MinHash) or of 64 (RP).
+    # A row width that is not a multiple of 8.
     lambda: MinHashLSHBlocker(seed=4, num_perm=12, bands=4),
-    lambda: RandomProjectionBlocker(seed=4, planes=48, bands=6),
 ]
-ANN_IDS = ["lsh", "rp", "lsh-12x4", "rp-48x6"]
+ANN_IDS = ["lsh", "lsh-12x4"]
 
 
 def _agreement(blocker, row, qrow):
@@ -376,8 +385,6 @@ def test_golden_candidate_digest_on_di2kg_cameras():
 GOLDEN_BURST_CANDIDATES = {
     "lsh": (15371,
             "b4e6e4a3ce0a6d9b1fa343f2cd902cb93ecaddf58ef9a2358d6f69df0dbf9a18"),
-    "rp": (15281,
-           "4c516b3543a5708076286a4c374af7251d307d520e183c2ee405322303641da3"),
 }
 
 
@@ -388,8 +395,7 @@ def test_golden_group_candidate_digest_on_released_bursts(name,
     blocks of 8, released in bursts by ``ReorderBuffer(32)``, each burst
     queried with one ``candidates_many(k=8)`` and indexed with one
     ``add_many`` (the streaming resolver's order)."""
-    blocker = {"lsh": MinHashLSHBlocker,
-               "rp": RandomProjectionBlocker}[name](seed=0)
+    blocker = MinHashLSHBlocker(seed=0)
     digest, total = hashlib.sha256(), 0
     for burst in camera_bursts:
         for found in blocker.candidates_many(burst, k=8):
@@ -433,16 +439,6 @@ class TestBlockingIndexFault:
         assert _index_state(blocker) \
             == _index_state(MinHashLSHBlocker(seed=5).fit(table + group))
 
-    def test_corrupt_without_retained_records_raises(self):
-        table = _seeded_table(40, seed=5)
-        blocker = RandomProjectionBlocker(seed=5, keep_records=False)
-        blocker.fit(table)
-        with pytest.raises(RuntimeError):
-            blocker.records  # the memory-lean mode really dropped them
-        with inject(FaultPlan.single("blocking.index", "corrupt")):
-            with pytest.raises(CorruptDataFault):
-                blocker.candidates(table[3], k=8)
-
     def test_rebuilt_index_accepts_further_adds(self):
         # The duplicate guarantees bucket collisions, so the corrupted
         # rows are actually read (detection lives on the read path).
@@ -459,41 +455,6 @@ class TestBlockingIndexFault:
         for record in (table[0], table[1], extra):
             assert blocker.candidates(record, k=8) \
                 == rebuilt.candidates(record, k=8)
-
-
-# ======================================================================
-# Random projection over caller-supplied embeddings
-# ======================================================================
-class TestEmbedFnPath:
-    @staticmethod
-    def _embed(entity: Entity) -> np.ndarray:
-        vec = np.zeros(8)
-        for i, ch in enumerate(entity.text().encode("utf-8")):
-            vec[i % 8] += (ch % 11) - 5.0
-        return vec
-
-    def test_embed_fn_parity_and_determinism(self):
-        table = _seeded_table(50, seed=8)
-        extra = _record("x", table[0].text())
-        a = RandomProjectionBlocker(seed=8, planes=32, bands=8,
-                                    embed_fn=self._embed).fit(table)
-        a.add(extra)
-        b = RandomProjectionBlocker(seed=8, planes=32, bands=8,
-                                    embed_fn=self._embed).fit(table + [extra])
-        for record in table[:10] + [extra]:
-            assert a.candidates(record, k=8) == b.candidates(record, k=8)
-
-    def test_embed_dimension_change_rejected(self):
-        calls = []
-
-        def unstable(entity):
-            calls.append(entity.uid)
-            return np.zeros(4 if len(calls) > 1 else 8)
-
-        blocker = RandomProjectionBlocker(seed=0, planes=16, bands=4,
-                                          embed_fn=unstable)
-        with pytest.raises(ValueError, match="dimension"):
-            blocker.fit([_record("a", "one"), _record("b", "two")])
 
 
 # ======================================================================

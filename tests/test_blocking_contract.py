@@ -1,8 +1,8 @@
 """Blocker conformance suite: one battery, every blocker.
 
-Runs the same contract checks against all four blockers — keyword overlap,
-TF-IDF, MinHash/LSH, and random projection — so a new blocker only has to
-register a factory here to inherit the full battery:
+Runs the same contract checks against all three blockers — keyword
+overlap, TF-IDF and MinHash/LSH — so a new blocker only has to register a
+factory here to inherit the full battery:
 
 * determinism across two fresh same-seed builds,
 * candidates sorted strictly increasing, no duplicates, no self-pairs,
@@ -16,17 +16,8 @@ import numpy as np
 import pytest
 
 from repro.blocking import (Blocker, MinHashLSHBlocker, OverlapBlocker,
-                            RandomProjectionBlocker, TfidfBlocker,
-                            candidate_pairs)
+                            TfidfBlocker, candidate_pairs)
 from repro.data.schema import Entity
-
-
-def _embed(entity: Entity) -> np.ndarray:
-    """A cheap deterministic stand-in for the frozen-LM record embeddings."""
-    vec = np.zeros(16)
-    for i, ch in enumerate(entity.text().encode("utf-8")):
-        vec[i % 16] += (ch % 13) - 6.0
-    return vec
 
 
 #: name -> zero-argument factory producing a *fresh* blocker.  Factories,
@@ -35,9 +26,6 @@ FACTORIES = {
     "overlap": lambda: OverlapBlocker(min_shared_tokens=1),
     "tfidf": TfidfBlocker,
     "lsh": lambda: MinHashLSHBlocker(seed=7, num_perm=32, bands=16),
-    "rp": lambda: RandomProjectionBlocker(seed=7, planes=64, bands=8),
-    "rp-embed": lambda: RandomProjectionBlocker(seed=7, planes=32, bands=8,
-                                                embed_fn=_embed),
 }
 
 

@@ -603,3 +603,28 @@ class TestServingFirewall:
         assert plan.fired("guard.validate", "corrupt")
         summary = summarize(firewall)
         assert summary.by_reason.get(REASON_INJECTED, 0) >= 1
+
+
+# ======================================================================
+# The corruption-robustness curve's clean point (slow tier)
+# ======================================================================
+@pytest.mark.slow
+def test_robustness_curve_clean_point_is_untouched():
+    """Firewall transparency on real matchers: at corruption rate 0.0 the
+    firewall quarantines nothing and no drift window flags, for each of
+    the three matchers; at rate 0.4 it does quarantine, so the predicate
+    can fail.  F1 is not gated here (docs/ROBUSTNESS.md)."""
+    from repro.config import Scale
+    from repro.harness.robustness import robustness_series
+
+    _, series = robustness_series("Beer", seed=7, scale=Scale.ci())
+    assert [entry["matcher"] for entry in series] \
+        == ["hiergat", "ditto", "magellan"]
+    for entry in series:
+        clean, _, dirty = entry["points"]
+        assert clean["corruption_rate"] == 0.0
+        assert clean["drift_windows"] > 0, entry
+        assert clean["quarantined_records"] == 0, entry
+        assert clean["drift_flagged"] == 0, entry
+        assert dirty["corruption_rate"] == 0.4
+        assert dirty["quarantined_records"] > 0, entry

@@ -30,10 +30,14 @@ from __future__ import annotations
 
 import gc
 import hashlib
+import json
 import os
+import signal
+import subprocess
 import sys
 import threading
 import warnings
+from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -831,32 +835,43 @@ class TestQuarantineRetraction:
 # Streaming == offline batch on multi-source generated data
 # ======================================================================
 class TestStreamingEqualsOffline:
-    def _sample(self):
+    def _sample(self, entities: int = 40, seed: int = 9):
         spec = MAGELLAN_DATASETS["Amazon-Google"].spec
         tables, truth = generate_source_tables(
-            spec, 40, seed=9, sources=("s0", "s1", "s2"), overlap=0.7)
+            spec, entities, seed=seed, sources=("s0", "s1", "s2"),
+            overlap=0.7)
         records = [r for source in sorted(tables) for r in tables[source]]
         truth_pairs = [(anchor, uid) for anchor, views in truth.items()
                        for _, uid in views]
         return records, truth_pairs
 
-    def test_streaming_partition_equals_offline_batch(self):
-        records, _ = self._sample()
+    def _assert_equals_offline(self, records: List[Entity], seed: int,
+                               wal: Optional[WriteAheadLog] = None) -> None:
         config = ResolveConfig(match_threshold=0.35, nonmatch_threshold=0.05,
-                               seed=9)
-        resolver = StreamingResolver(JaccardScorer(), config=config)
+                               seed=seed)
+        resolver = StreamingResolver(JaccardScorer(), config=config, wal=wal)
         for record in records:
             resolver.offer(record)
         resolver.close()
         _assert_conserved(resolver)
 
-        from repro.blocking.ann import MinHashLSHBlocker
         edges = generate_stream_edges(
             records, JaccardScorer(),
             MinHashLSHBlocker(seed=config.seed).fit([]), config)
         offline = offline_partition([r.uid for r in records], edges,
                                     seed=config.seed)
         assert partitions_equal(resolver.store.clusters(), offline)
+
+    def test_streaming_partition_equals_offline_batch(self):
+        records, _ = self._sample()
+        self._assert_equals_offline(records, seed=9)
+
+    def test_kill_drill_stream_equals_offline_batch(self, tmp_path):
+        """The 450-record stream of ``TestKillDrill``, through a WAL."""
+        records, _ = self._sample(185, seed=0)
+        assert len(records) == 450
+        self._assert_equals_offline(records, seed=0,
+                                    wal=WriteAheadLog(str(tmp_path)))
 
     def test_partition_metrics_against_truth_are_sane(self):
         records, truth_pairs = self._sample()
@@ -1104,6 +1119,41 @@ class TestCrashResume:
 
 
 # ======================================================================
+# The kill drill: a SIGKILLed `repro resolve` process resumes bitwise
+# ======================================================================
+REPO_ROOT = Path(__file__).resolve().parent.parent
+
+
+def _resolve_cli(wal_dir: str, *extra: str) -> subprocess.CompletedProcess:
+    """``repro resolve --fast`` over the 450-record, 3-source stream."""
+    return subprocess.run(
+        [sys.executable, "-m", "repro", "resolve", "--wal", wal_dir,
+         "--records", "185", "--seed", "0", "--json", "--fast", *extra],
+        cwd=REPO_ROOT, capture_output=True, text=True, timeout=120,
+        env={"PYTHONPATH": str(REPO_ROOT / "src"),
+             "PATH": os.environ.get("PATH", "/usr/bin:/bin")})
+
+
+class TestKillDrill:
+    """``--kill-after`` SIGKILLs the process mid-stream; ``--resume`` must
+    end at the digest of an uninterrupted control run."""
+
+    def test_sigkilled_cli_resumes_to_the_control_digest(self, tmp_path):
+        control = _resolve_cli(str(tmp_path / "control"))
+        assert control.returncode == 0, control.stderr
+        expected = json.loads(control.stdout)["digest"]
+        crash_dir = str(tmp_path / "crash")
+        killed = _resolve_cli(crash_dir, "--kill-after", "225")
+        assert killed.returncode == -signal.SIGKILL, killed.stderr
+        resumed = _resolve_cli(crash_dir, "--resume")
+        assert resumed.returncode == 0, resumed.stderr
+        report = json.loads(resumed.stdout)
+        assert report["recovered"] == 225
+        assert report["stats"]["conserved"]
+        assert report["digest"] == expected
+
+
+# ======================================================================
 # Shutdown checkpoint: close() saves the state, resume() loads it and
 # replays only the WAL written after it
 # ======================================================================
@@ -1325,7 +1375,6 @@ class TestShutdownCheckpoint:
 
     def test_resolver_rejects_a_non_banded_blocker(self, tmp_path):
         """Group queries and checkpoints need a banded ANN index."""
-        from repro.blocking.ann import RandomProjectionBlocker
         from repro.blocking.keyword import OverlapBlocker
 
         with pytest.raises(TypeError, match="banded ANN index.*Overlap"):
@@ -1335,17 +1384,6 @@ class TestShutdownCheckpoint:
         _checkpointed(wal_dir, _group_stream(groups=2, views=2))
         with pytest.raises(TypeError, match="OverlapBlocker"):
             _resume(wal_dir, blocker=OverlapBlocker().fit([]))
-        records = _group_stream(groups=3, views=2)
-        resolver = StreamingResolver(
-            JaccardScorer(), blocker=RandomProjectionBlocker(seed=1),
-            config=ResolveConfig(seed=1), wal=_wal(str(tmp_path / "rp")))
-        for seq, record in enumerate(records):
-            resolver.offer(record, seq=seq)
-        resolver.close()
-        assert len(resolver.store.clusters()) == 3
-        resumed = _resume(str(tmp_path / "rp"),
-                          blocker=RandomProjectionBlocker(seed=1))
-        _assert_same_state(resumed, resolver)
 
     def test_resume_rejects_a_mismatched_binding(self, tmp_path):
         wal_dir = str(tmp_path / "wal")
@@ -1461,6 +1499,34 @@ class TestFailedScoring:
         _assert_same_state(_resume(wal_dir), live)   # crash resume
         live.close()
         _assert_same_state(_resume(wal_dir), live)   # checkpoint resume
+
+    def test_retraction_at_the_head_of_the_replay_queue_restarts_it(
+            self, tmp_path):
+        """A logged retraction that drops the pending record blocking the
+        replay FIFO lets the logged resolutions behind it replay: resume
+        scores nothing and logs no resolution twice."""
+        records = _group_stream(groups=2, views=3)
+        wal_dir = str(tmp_path / "wal")
+        live = StreamingResolver(_FlakyScorer(), config=ResolveConfig(seed=1),
+                                 wal=_wal(wal_dir))
+        self._offer_one_group(live, records)
+        assert live.retract("g0v1") is True   # pending: logged before the
+        live.drain()                          # group's resolve entries
+        scored: List[int] = []
+
+        class _CountingScorer(JaccardScorer):
+            def scores(self, pairs):
+                scored.append(len(pairs))
+                return super().scores(pairs)
+
+        resumed = StreamingResolver.resume(           # crash resume
+            _CountingScorer(), _wal(wal_dir), config=ResolveConfig(seed=1))
+        assert sum(scored) == 0
+        logged = [entry["uid"] for entry in resumed.wal.replay()
+                  if entry["type"] == "resolve"]
+        assert logged == [record.uid for record in records
+                          if record.uid != "g0v1"]
+        _assert_same_state(resumed, live)
 
 
 class TestCheckpointFaultSites:

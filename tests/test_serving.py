@@ -18,6 +18,7 @@ Covers the contracts documented in ``docs/SERVING.md``:
 
 from __future__ import annotations
 
+import dataclasses
 import threading
 import time
 
@@ -478,13 +479,29 @@ class TestTier1Parity:
     def test_soak_clean_and_chaos_conserve_with_parity(self, beer_cascade):
         cascade, dataset = beer_cascade
         config = ServingConfig(queue_capacity=8, num_workers=3)
-        for plan in (None, default_chaos_plan()):
-            report = run_soak(cascade, dataset.split.test, config=config,
-                              plan=plan, n_clients=3, requests_per_client=3,
-                              pairs_per_request=5, seed=0)
+        # Pressure: every tier-1 call faults and requests carry a 20 ms
+        # deadline, so the cascade answers from the tiers below it.
+        pressure = FaultPlan((FaultSpec(site="serving.score",
+                                        kind="transient",
+                                        at=tuple(range(1_000_000))),))
+        soaks = (
+            (None, None, config),
+            (default_chaos_plan(), None, config),
+            (pressure, 0.02,
+             dataclasses.replace(config, breaker_failures=2)),
+        )
+        for plan, deadline_s, soak_config in soaks:
+            report = run_soak(cascade, dataset.split.test,
+                              config=soak_config, plan=plan,
+                              deadline_s=deadline_s, n_clients=3,
+                              requests_per_client=3, pairs_per_request=5,
+                              seed=0)
             assert report.conserved, report.summary()
             assert report.tier1_parity, report.summary()
             assert report.answered + report.rejected == report.submitted
+        # The pressure soak (the last) answers, and never from tier 1.
+        assert report.answered > 0 and "full" not in report.by_tier, \
+            report.summary()
 
     def test_serving_under_sanitizer_smoke(self, beer_cascade):
         """REPRO_SANITIZE semantics: the worker pool must not mutate

@@ -585,3 +585,39 @@ class TestRealModelCoalescingParity:
         stats = report.service_stats["coalesce"]
         assert stats["fused_batches"] == 0
         assert stats["solo_batches"] >= 1
+
+
+@pytest.fixture(scope="module")
+def beer_store(beer_cluster, tmp_path_factory):
+    """One float32 embedding store over the Beer test records, shared
+    read-only by every replica."""
+    from repro.store import build_store
+
+    matcher, dataset = beer_cluster
+    path = str(tmp_path_factory.mktemp("beer-store"))
+    build_store(path, matcher,
+                [e for pair in dataset.split.test
+                 for e in (pair.left, pair.right)], dtype="float32")
+    return path
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("replicas", [1, 2, 4])
+def test_replica_curve_conserves_with_store_parity(beer_cluster, beer_store,
+                                                   replicas):
+    """Many small requests (8 clients x 32 requests x 4 pairs) through 1, 2
+    and 4 replicas serving tier 1 from one shared float32 store: every
+    request answered or rejected, every answer bitwise the offline one."""
+    matcher, dataset = beer_cluster
+    pool = list(dataset.split.test)
+    report = run_cluster_soak(
+        build_cascade(matcher, dataset), pool,
+        config=ClusterConfig(replicas=replicas, queue_capacity=512,
+                             coalesce_window=0.01, coalesce_pairs=32,
+                             pad_width=pad_width_for(matcher, pool)),
+        n_clients=8, requests_per_client=32, pairs_per_request=4, seed=0,
+        store_path=beer_store)
+    assert report.ok, report.summary()
+    assert report.submitted == 8 * 32
+    assert report.parity_checked == report.answered > 0, report.summary()
+    assert report.service_stats["coalesce"]["fused_batches"] >= 1
