@@ -13,14 +13,14 @@ alignment layer (Equation 5).
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.autograd import Tensor, broadcast_to, concat, functional as F, no_grad
 from repro.autograd.optim import Adam, clip_grad_norm
 from repro.config import Scale, get_scale
-from repro.core.aggregation import AttributeSummarizer, EntitySummarizer
+from repro.core.aggregation import AttributeSummarizer
 from repro.core.alignment import EntityAlignment
 from repro.core.comparison import AttributeComparator, EntityComparator
 from repro.core.context import ContextFlags, ContextualEmbedder
@@ -31,7 +31,7 @@ from repro.data.schema import EntityPair, PairDataset
 from repro.lm.checkpoint import load_checkpoint
 from repro.matchers.base import Matcher, labels_of
 from repro.matchers.ditto import imbalance_weight
-from repro.matchers.encoding import AttributeEncoder
+from repro.matchers.encoding import AttributeEncoder, pad_sequences
 from repro.nn import Linear, Module
 
 
@@ -56,7 +56,6 @@ class HierGATNetwork(Module):
         self.dim = lm.dim
         self.context = ContextualEmbedder(lm, config.context, rng=rng)
         self.summarizer = AttributeSummarizer(lm.dim, num_heads, rng=rng)
-        self.entity_summarizer = EntitySummarizer()
         self.comparator = AttributeComparator(lm)
         self.entity_comparator = EntityComparator(lm.dim, config.comparison_mode, rng=rng)
         self.alignment = EntityAlignment(lm.dim, rng=rng)
@@ -82,14 +81,8 @@ class HierGATNetwork(Module):
         batch = slot_inputs[0][0][0].shape[0]
         sides = ([left for left, _ in slot_inputs]
                  + [right for _, right in slot_inputs])
-        width = max(ids.shape[1] for ids, _ in sides)
-        pad_id = self.context.lm.vocab.pad_id
-        big_ids = np.full((2 * k_slots * batch, width), pad_id,
-                          dtype=sides[0][0].dtype)
-        big_mask = np.zeros((2 * k_slots * batch, width), dtype=bool)
-        for i, (ids, mask) in enumerate(sides):
-            big_ids[i * batch:(i + 1) * batch, :ids.shape[1]] = ids
-            big_mask[i * batch:(i + 1) * batch, :mask.shape[1]] = mask
+        big_ids = _pad_stack([ids for ids, _ in sides], self.context.lm.vocab.pad_id)
+        big_mask = _pad_stack([mask for _, mask in sides], False)
         wpc = self.context(big_ids, big_mask)
         return self.head_from_wpc(wpc, big_mask, k_slots, batch)
 
@@ -123,17 +116,24 @@ class HierGATNetwork(Module):
         if attrs is None:
             attrs = self.summarizer(wpc, mask)
         kb = k_slots * batch
-        similarities_all = self.comparator(
-            wpc[:kb], mask[:kb], wpc[kb:], mask[kb:])
-        similarities = [similarities_all[k * batch:(k + 1) * batch]
-                        for k in range(k_slots)]
         entity_context = None
         if self.config.use_entity_summarization:
             left_view = attrs[:kb].reshape(k_slots, batch, -1).mean(axis=0)
             right_view = attrs[kb:].reshape(k_slots, batch, -1).mean(axis=0)
             entity_context = concat([left_view, right_view], axis=1)
-        similarity = self.entity_comparator(similarities, entity_context)
-        return self.head(similarity)
+        return self._classify(wpc[:kb], mask[:kb], wpc[kb:], mask[kb:],
+                              k_slots, entity_context)
+
+    def _classify(self, left_wpc: Tensor, left_mask: np.ndarray,
+                  right_wpc: Tensor, right_mask: np.ndarray, k_slots: int,
+                  entity_context: Optional[Tensor]) -> Tensor:
+        """Attribute comparison of slot-major left/right rows (all pairs and
+        slots in one comparator call), entity comparison, and the head."""
+        similarities_all = self.comparator(left_wpc, left_mask, right_wpc, right_mask)
+        rows = similarities_all.shape[0] // k_slots
+        similarities = [similarities_all[k * rows:(k + 1) * rows]
+                        for k in range(k_slots)]
+        return self.head(self.entity_comparator(similarities, entity_context))
 
     # ------------------------------------------------------------------
     # Collective path
@@ -145,73 +145,58 @@ class HierGATNetwork(Module):
         ``slots[k] = (ids, mask)`` stacks the K-th attribute of all ``M = N+1``
         group entities, the query first.  ``common_masks[k]`` marks positions
         holding tokens shared by ≥2 group entities (entity-level context).
+        As in :meth:`forward`, the K slots are padded to one width ``W`` and
+        stacked slot-major into a single ``(K·M, W)`` megabatch, so every
+        stage runs once per group.
         """
-        m = slots[0][0].shape[0]
+        k_slots, m = len(slots), slots[0][0].shape[0]
         if m < 2:
             raise ValueError("a collective group needs a query and ≥1 candidate")
         n = m - 1
+        flags = self.config.context
+        ids = _pad_stack([ids for ids, _ in slots], self.context.lm.vocab.pad_id)
+        mask = _pad_stack([mask for _, mask in slots], False)
 
-        # Stage 1: raw/token/attribute contexts for every entity and slot.
-        raws, token_ctxs, attr_ctxs, masks = [], [], [], []
-        for ids, mask in slots:
-            raw = self.context.lm.embed(ids)
-            token_ctx = (self.context.lm.encoder(raw, pad_mask=mask)
-                         if self.config.context.token else None)
-            source = token_ctx if token_ctx is not None else raw
-            attr_ctx = (self.context.attribute_context(source, mask)
-                        if self.config.context.attribute else None)
-            raws.append(raw)
-            token_ctxs.append(token_ctx)
-            attr_ctxs.append(attr_ctx)
-            masks.append(mask)
+        # Raw/token/attribute contexts for every entity and slot.
+        raw = self.context.lm.embed(ids)
+        token_ctx = self.context.lm.encoder(raw, pad_mask=mask) if flags.token else None
+        source = token_ctx if token_ctx is not None else raw
+        attr_ctx = self.context.attribute_context(source, mask) if flags.attribute else None
 
-        # Stage 2: unique-attribute contexts V̄^a (sum per key over the group).
-        unique_ctx = None
-        if self.config.context.attribute and any(a is not None for a in attr_ctxs):
-            unique_ctx = concat(
-                [a.sum(axis=0).reshape(1, -1) for a in attr_ctxs if a is not None], axis=0,
-            )
+        # Redundant-context removal (Equations 2–3) on the rows of slots that
+        # hold a common token, against V̄^a: each slot's context summed over
+        # the group.
+        if flags.attribute and flags.entity and common_masks is not None:
+            rows = np.flatnonzero(np.repeat([c.any() for c in common_masks], m))
+            if rows.size:
+                unique_ctx = attr_ctx.reshape(k_slots, m, -1).sum(axis=1)
+                common = _pad_stack(common_masks, False)
+                redundant = self.context.redundant_context(
+                    source[rows], common[rows], unique_ctx)
+                # Rows outside those slots read an appended zero row.
+                lookup = np.full(k_slots * m, rows.size)
+                lookup[rows] = np.arange(rows.size)
+                zero = Tensor(np.zeros((1, self.dim), dtype=redundant.data.dtype))
+                attr_ctx = attr_ctx + concat([redundant, zero])[lookup]
+        wpc = self.context.compose(raw, token_ctx, attr_ctx)
+        attrs = self.summarizer(wpc, mask)
 
-        # Stage 3: WpC (with redundant-context removal) + attribute embeddings.
-        attr_embeddings: List[Tensor] = []   # K × (M, dim)
-        wpcs: List[Tensor] = []
-        for k, (ids, mask) in enumerate(slots):
-            attr_ctx = attr_ctxs[k]
-            use_entity = (self.config.context.entity and attr_ctx is not None
-                          and unique_ctx is not None and common_masks is not None)
-            if use_entity and common_masks[k].any():
-                source = token_ctxs[k] if token_ctxs[k] is not None else raws[k]
-                attr_ctx = attr_ctx + self.context.redundant_context(
-                    source, common_masks[k], unique_ctx,
-                )
-            wpc = self.context.compose(raws[k], token_ctxs[k], attr_ctx)
-            wpcs.append(wpc)
-            attr_embeddings.append(self.summarizer(wpc, mask))
-
-        # Stage 4: entity embeddings (mean view) + alignment (Equation 5).
-        entity_views = EntitySummarizer.mean_view([a for a in attr_embeddings])  # (M, dim)
-        if self.config.use_alignment:
-            entity_views = self.alignment(entity_views)
-
-        # Stage 5: compare the query against each candidate, all slots.
-        similarities: List[Tensor] = []
-        for k, (ids, mask) in enumerate(slots):
-            query = wpcs[k][0:1, :, :]
-            query_wpc = broadcast_to(query, (n,) + query.shape[1:])
-            query_mask = np.broadcast_to(masks[k][0:1], (n,) + masks[k].shape[1:])
-            cand_wpc = wpcs[k][1:, :, :]
-            cand_mask = masks[k][1:]
-            similarities.append(
-                self.comparator(query_wpc, query_mask, cand_wpc, cand_mask)
-            )
+        # Entity views: the mean over slots, then alignment (Equation 5).
         entity_context = None
         if self.config.use_entity_summarization:
-            query_view = broadcast_to(entity_views[0:1, :],
-                                      (n, entity_views.shape[1]))
-            cand_views = entity_views[1:, :]
-            entity_context = concat([query_view, cand_views], axis=1)
-        similarity = self.entity_comparator(similarities, entity_context)
-        return self.head(similarity)
+            views = attrs.reshape(k_slots, m, -1).mean(axis=0)
+            if self.config.use_alignment:
+                views = self.alignment(views)
+            entity_context = concat(
+                [broadcast_to(views[0:1], (n, self.dim)), views[1:]], axis=1)
+
+        # Each slot's query row, repeated N times, against its N candidates.
+        starts = np.arange(k_slots) * m
+        query_rows = np.repeat(starts, n)
+        cand_rows = (starts[:, None] + np.arange(1, m)).ravel()
+        return self._classify(wpc[query_rows], mask[query_rows],
+                              wpc[cand_rows], mask[cand_rows],
+                              k_slots, entity_context)
 
     # ------------------------------------------------------------------
     def attribute_attention(self) -> Optional[np.ndarray]:
@@ -223,58 +208,48 @@ class HierGATNetwork(Module):
         return self.summarizer.attention_map()
 
 
-def _common_token_masks(slot_ids: List[np.ndarray], pad_id: int,
+def _pad_stack(arrays: Sequence[np.ndarray], fill) -> np.ndarray:
+    """Stack 2-D batches row-wise, right-padding each to the widest with ``fill``."""
+    width = max(a.shape[1] for a in arrays)
+    out = np.full((sum(a.shape[0] for a in arrays), width), fill,
+                  dtype=arrays[0].dtype)
+    start = 0
+    for a in arrays:
+        out[start:start + a.shape[0], :a.shape[1]] = a
+        start += a.shape[0]
+    return out
+
+
+def _common_token_masks(slot_ids: List[np.ndarray],
                         special_ids: Sequence[int]) -> List[np.ndarray]:
-    """Positions holding tokens that appear in ≥2 entities of the group."""
-    specials = set(int(s) for s in special_ids)
-    owners: Dict[int, set] = {}
-    for ids in slot_ids:
-        for row in range(ids.shape[0]):
-            for token in set(int(t) for t in ids[row]) - specials:
-                owners.setdefault(token, set()).add(row)
-    common = {t for t, rows in owners.items() if len(rows) >= 2}
-    masks = []
-    for ids in slot_ids:
-        mask = np.isin(ids, list(common)) if common else np.zeros_like(ids, dtype=bool)
-        masks.append(mask)
-    return masks
+    """Positions holding tokens that appear in ≥2 entities of the group.
 
-
-class HierGAT(Matcher):
-    """The pairwise HierGAT matcher (HG in the paper's tables).
-
-    Per Section 6.1, the pairwise model runs without entity-level context and
-    without the alignment layer; those belong to :class:`HierGATPlus`.
+    Row ``i`` of every slot is entity ``i``; a token is common when at least
+    two distinct entities hold it, in any slot.  Specials are never common.
     """
+    tokens = np.concatenate([ids.ravel() for ids in slot_ids])
+    rows = np.concatenate([np.indices(ids.shape)[0].ravel() for ids in slot_ids])
+    keep = ~np.isin(tokens, special_ids)
+    pairs = np.unique(np.stack([tokens[keep], rows[keep]], axis=1), axis=0)
+    held, owners = np.unique(pairs[:, 0], return_counts=True)
+    common = held[owners >= 2]
+    return [np.isin(ids, common) for ids in slot_ids]
 
-    name = "HierGAT"
 
-    def __init__(self, language_model: str = "roberta",
-                 config: Optional[HierGATConfig] = None,
-                 scale: Optional[Scale] = None, seed: Optional[int] = None):
+class _HierGATMatcher(Matcher):
+    """State, network build and thresholded prediction shared by the
+    pairwise and the collective matcher."""
+
+    def __init__(self, config: HierGATConfig, scale: Optional[Scale],
+                 seed: Optional[int]):
         self.scale = scale or get_scale()
         self.seed = self.scale.seed if seed is None else seed
-        base = config or HierGATConfig(language_model=language_model)
-        # Pairwise model: no entity-level context, no alignment.
-        self.config = dataclasses.replace(
-            base,
-            context=dataclasses.replace(base.context, entity=False),
-            use_alignment=False,
-        )
+        self.config = config
         self.threshold = 0.5
         self._network: Optional[HierGATNetwork] = None
         self._encoder: Optional[AttributeEncoder] = None
         self._num_attributes = 0
         self.train_result: Optional[TrainResult] = None
-
-    def _forward(self, pairs: Sequence[EntityPair]) -> Tensor:
-        slots = []
-        for k in range(self._num_attributes):
-            slots.append((
-                self._encoder.encode_slot(pairs, k, "left"),
-                self._encoder.encode_slot(pairs, k, "right"),
-            ))
-        return self._network(slots)
 
     def _build(self, num_attributes: int) -> None:
         rng = np.random.default_rng(self.seed)
@@ -287,6 +262,39 @@ class HierGAT(Matcher):
         self._encoder = AttributeEncoder(lm.vocab,
                                          max_value_tokens=self.scale.max_tokens // 2)
         self._num_attributes = num_attributes
+
+    def predict(self, pairs: Sequence[EntityPair]) -> np.ndarray:
+        return (self.scores(pairs) >= self.threshold).astype(np.int64)
+
+
+class HierGAT(_HierGATMatcher):
+    """The pairwise HierGAT matcher (HG in the paper's tables).
+
+    Per Section 6.1, the pairwise model runs without entity-level context and
+    without the alignment layer; those belong to :class:`HierGATPlus`.
+    """
+
+    name = "HierGAT"
+
+    def __init__(self, language_model: str = "roberta",
+                 config: Optional[HierGATConfig] = None,
+                 scale: Optional[Scale] = None, seed: Optional[int] = None):
+        base = config or HierGATConfig(language_model=language_model)
+        # Pairwise model: no entity-level context, no alignment.
+        super().__init__(dataclasses.replace(
+            base,
+            context=dataclasses.replace(base.context, entity=False),
+            use_alignment=False,
+        ), scale, seed)
+
+    def _forward(self, pairs: Sequence[EntityPair]) -> Tensor:
+        slots = []
+        for k in range(self._num_attributes):
+            slots.append((
+                self._encoder.encode_slot(pairs, k, "left"),
+                self._encoder.encode_slot(pairs, k, "right"),
+            ))
+        return self._network(slots)
 
     def fit(self, dataset: PairDataset, checkpoint_dir=None,
             resume: bool = False) -> "HierGAT":
@@ -318,11 +326,8 @@ class HierGAT(Matcher):
             raise RuntimeError("fit() must be called first")
         return predict_forward(self._network, self._forward, pairs, self.scale.batch_size)
 
-    def predict(self, pairs: Sequence[EntityPair]) -> np.ndarray:
-        return (self.scores(pairs) >= self.threshold).astype(np.int64)
 
-
-class HierGATPlus(Matcher):
+class HierGATPlus(_HierGATMatcher):
     """The collective model (HG+): query + N candidates scored in one graph."""
 
     name = "HierGAT+"
@@ -330,31 +335,20 @@ class HierGATPlus(Matcher):
     def __init__(self, language_model: str = "roberta",
                  config: Optional[HierGATConfig] = None,
                  scale: Optional[Scale] = None, seed: Optional[int] = None):
-        self.scale = scale or get_scale()
-        self.seed = self.scale.seed if seed is None else seed
-        self.config = config or HierGATConfig(language_model=language_model)
-        self.threshold = 0.5
-        self._network: Optional[HierGATNetwork] = None
-        self._encoder: Optional[AttributeEncoder] = None
-        self._num_attributes = 0
-        self.train_result: Optional[TrainResult] = None
+        super().__init__(config or HierGATConfig(language_model=language_model),
+                         scale, seed)
 
     # ------------------------------------------------------------------
     def _group_slots(self, query: CollectiveQuery):
         entities = [query.query] + list(query.candidates)
-        from repro.matchers.encoding import pad_sequences
-
         vocab = self._encoder.vocab
-        slots, slot_ids = [], []
-        for k in range(self._num_attributes):
-            sequences = [self._encoder.attribute_ids(e, k) for e in entities]
-            ids, mask = pad_sequences(sequences, vocab.pad_id)
-            slots.append((ids, mask))
-            slot_ids.append(ids)
+        slots = [pad_sequences([self._encoder.attribute_ids(e, k) for e in entities],
+                               vocab.pad_id)
+                 for k in range(self._num_attributes)]
         common_masks = None
         if self.config.context.entity:
             specials = [vocab.pad_id, vocab.cls_id, vocab.sep_id, vocab.col_id, vocab.val_id]
-            common_masks = _common_token_masks(slot_ids, vocab.pad_id, specials)
+            common_masks = _common_token_masks([ids for ids, _ in slots], specials)
         return slots, common_masks
 
     def _forward_group(self, query: CollectiveQuery) -> Tensor:
@@ -369,15 +363,9 @@ class HierGATPlus(Matcher):
 
     # ------------------------------------------------------------------
     def fit(self, dataset: CollectiveDataset) -> "HierGATPlus":
-        rng = np.random.default_rng(self.seed)
-        lm, head_state = load_checkpoint(self.config.language_model, self.scale)
-        self._network = HierGATNetwork(lm, self.config, self.scale.num_heads, rng)
-        self._network.head.load_state_dict(head_state)
-        self._encoder = AttributeEncoder(lm.vocab,
-                                         max_value_tokens=self.scale.max_tokens // 2)
-        self._num_attributes = min(
+        self._build(min(
             len(q.query.attributes) for q in dataset.train + dataset.valid + dataset.test
-        )
+        ))
         config = TrainConfig.from_scale(
             self.scale, seed=self.seed,
             positive_weight=imbalance_weight(dataset.pairs("train")),
@@ -451,9 +439,6 @@ class HierGATPlus(Matcher):
         return self.evaluate_collective(dataset.test).f1 * 100.0
 
     # Pairwise interface (scores treat each pair as a single-candidate group).
-    def predict(self, pairs: Sequence[EntityPair]) -> np.ndarray:
-        return (self.scores(pairs) >= self.threshold).astype(np.int64)
-
     def scores(self, pairs: Sequence[EntityPair]) -> np.ndarray:
         if self._network is None:
             raise RuntimeError("fit() must be called first")

@@ -50,7 +50,7 @@ from __future__ import annotations
 import contextlib
 import dataclasses
 from collections import Counter
-from typing import Dict, Mapping, Optional, Tuple
+from typing import Dict, FrozenSet, Mapping, Optional, Tuple
 
 from repro.reliability.locks import named_lock
 
@@ -122,13 +122,15 @@ class FaultSpec:
 
     site: str
     kind: str
-    at: Tuple[int, ...] = (0,)
+    at: FrozenSet[int] = frozenset((0,))
     match: Tuple[Tuple[str, int], ...] = ()
 
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValueError(f"unknown fault kind {self.kind!r}; choose from {KINDS}")
-        object.__setattr__(self, "at", tuple(int(i) for i in self.at))
+        # A set: check() tests membership on every invocation of the site,
+        # and soak schedules hold hundreds of thousands of indices.
+        object.__setattr__(self, "at", frozenset(int(i) for i in self.at))
         object.__setattr__(self, "match", tuple(self.match))
 
     def matches(self, ctx: Mapping) -> bool:

@@ -13,6 +13,8 @@ Covers the contracts documented in ``docs/TESTING.md``:
 
 from __future__ import annotations
 
+import pickle
+
 import numpy as np
 import pytest
 
@@ -71,6 +73,17 @@ class TestFaultPlan:
         assert results == [None, None, "corrupt", None]
         assert plan.invocations["site"] == 4
         assert plan.fired("site", "corrupt") == 1
+
+    def test_large_schedule_fires_at_exact_indices_and_pickles(self):
+        """A soak-sized ``at`` schedule fires exactly on its indices, and the
+        spec still crosses a process boundary (replicas receive pickled
+        specs)."""
+        spec = FaultSpec(site="site", kind="stall", at=range(0, 1_000_000, 7))
+        plan = FaultPlan((spec,))
+        with inject(plan):
+            fired = [i for i in range(50) if fault_point("site") == "stall"]
+        assert fired == list(range(0, 50, 7))
+        assert pickle.loads(pickle.dumps(spec)) == spec
 
     def test_match_restricts_to_context(self):
         plan = FaultPlan.single("site", "nan", at=ALWAYS, epoch=1)
