@@ -84,25 +84,38 @@ class ResolveConfig:
 # ----------------------------------------------------------------------
 # Scorers: anything with .scores(pairs) plus tier/params_version attrs
 # ----------------------------------------------------------------------
+#: Records whose token sets one :class:`JaccardScorer` keeps, oldest out
+#: first.  A streamed record is scored again in every later group it pairs
+#: with; the bound keeps an unbounded stream's memory flat.
+JACCARD_TOKEN_MEMO = 1 << 14
+
+
 class JaccardScorer:
-    """Fit-free deterministic token-Jaccard scorer (the CLI floor)."""
+    """Fit-free deterministic token-Jaccard scorer (the CLI floor).
+
+    Each record is tokenized once per scorer (up to
+    :data:`JACCARD_TOKEN_MEMO` records held at a time).
+    """
 
     tier = "jaccard"
     params_version = "jaccard-v1"
 
+    def __init__(self) -> None:
+        self._tokens: Dict[Entity, Set[str]] = {}
+
+    def _token_set(self, record: Entity) -> Set[str]:
+        found = self._tokens.get(record)
+        if found is None:
+            if len(self._tokens) >= JACCARD_TOKEN_MEMO:
+                del self._tokens[next(iter(self._tokens))]
+            found = self._tokens[record] = set(tokenize(record.text()))
+        return found
+
     def scores(self, pairs: Sequence[EntityPair]) -> np.ndarray:
-        tokens: Dict[Entity, Set[str]] = {}
-
-        def token_set(record: Entity) -> Set[str]:
-            found = tokens.get(record)
-            if found is None:
-                found = tokens[record] = set(tokenize(record.text()))
-            return found
-
         out = np.zeros(len(pairs), dtype=np.float64)
         for i, pair in enumerate(pairs):
-            left = token_set(pair.left)
-            right = token_set(pair.right)
+            left = self._token_set(pair.left)
+            right = self._token_set(pair.right)
             union = len(left | right)
             out[i] = len(left & right) / union if union else 0.0
         return out

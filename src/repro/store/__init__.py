@@ -16,6 +16,7 @@ from repro.store.embedstore import (
     StoreStats,
     build_store,
     encode_record,
+    encode_records,
     stable_record_key,
     store_cache,
     weights_digest,
@@ -34,6 +35,7 @@ __all__ = [
     "build_store",
     "dequantize",
     "encode_record",
+    "encode_records",
     "parity_report",
     "quantize",
     "quantized_matmul",

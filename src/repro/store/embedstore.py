@@ -63,6 +63,10 @@ MANIFEST_NAME = "manifest.json"
 #: Records per shard file; small by production standards, but the point is
 #: exercising the multi-shard paths at CI scale.
 DEFAULT_SHARD_SIZE = 256
+#: Records stacked into one encoder call by :func:`encode_records`.  Batching
+#: is where the build's speed comes from; the bound keeps its peak memory
+#: flat (stacking a 600-record store at once costs ~50 MB more RSS).
+ENCODE_CHUNK = 64
 
 
 class StoreBuildError(RuntimeError):
@@ -142,25 +146,55 @@ class StoreStats:
         return dataclasses.asdict(self)
 
 
-def encode_record(network, encoder, entity, num_attributes: int) -> StoredRecord:
-    """Run the frozen-encoder half for one record, at true token length.
+def encode_records(network, encoder, entities: Sequence,
+                   num_attributes: int) -> List[StoredRecord]:
+    """Run the frozen-encoder half for many records, each at true length.
 
-    The record's K slots are padded into one ``(K, W)`` batch and encoded
-    in a single call; each slot's WpC block is then cut back to its true
-    length.  This single function is both the offline build path *and*
-    the online store-miss fallback, so in float32 store mode a hit returns
-    exactly the bytes a miss would compute — bitwise parity by construction.
+    A record's padded width is its longest slot, exactly the width its K
+    slots would pad to on their own.  Records are grouped by that width
+    and each group is stacked, at most :data:`ENCODE_CHUNK` records at a
+    time, into one ``(K·B, W)`` batch: one encoder and one summarizer call
+    per chunk.  Each slot's WpC block is then cut back to its true length.
+
+    This is both the offline build path (:func:`build_store`) *and*, with
+    one record, the online store-miss fallback (:func:`encode_record`).
+    In float32 store mode a hit therefore returns exactly the bytes a miss
+    computes, for two reasons: every record is encoded at its own width
+    whatever batch it lands in, and the rows of a batch are independent
+    (every encoder and summarizer op is per sequence, so a row's values
+    do not depend on which rows share its batch).  ``tests/test_store.py``
+    pins both against a per-record reference.
     """
-    sequences = [encoder.attribute_ids(entity, k) for k in range(num_attributes)]
-    ids, mask = pad_sequences(sequences, encoder.vocab.pad_id)
+    sequences = [[encoder.attribute_ids(entity, k) for k in range(num_attributes)]
+                 for entity in entities]
+    by_width: Dict[int, List[int]] = {}
+    for i, slots in enumerate(sequences):
+        by_width.setdefault(max(len(seq) for seq in slots), []).append(i)
+    records: List[Optional[StoredRecord]] = [None] * len(sequences)
     with no_grad():
         network.eval()
-        wpc = network.encode_record_slot(ids, mask)
-        attrs = network.summarizer(wpc, mask)
-    return StoredRecord(
-        wpc=[np.array(wpc.data[k, :len(seq)], dtype=np.float32)
-             for k, seq in enumerate(sequences)],
-        attrs=np.array(attrs.data, dtype=np.float32))
+        for members in by_width.values():
+            for start in range(0, len(members), ENCODE_CHUNK):
+                chunk = members[start:start + ENCODE_CHUNK]
+                ids, mask = pad_sequences(
+                    [seq for i in chunk for seq in sequences[i]],
+                    encoder.vocab.pad_id)
+                wpc = network.encode_record_slot(ids, mask)
+                attrs = network.summarizer(wpc, mask).data
+                for row, i in enumerate(chunk):
+                    base = row * num_attributes
+                    records[i] = StoredRecord(
+                        wpc=[np.array(wpc.data[base + k, :len(seq)],
+                                      dtype=np.float32)
+                             for k, seq in enumerate(sequences[i])],
+                        attrs=np.array(attrs[base:base + num_attributes],
+                                       dtype=np.float32))
+    return records
+
+
+def encode_record(network, encoder, entity, num_attributes: int) -> StoredRecord:
+    """:func:`encode_records` for one record (the live store-miss path)."""
+    return encode_records(network, encoder, [entity], num_attributes)[0]
 
 
 # ----------------------------------------------------------------------
@@ -203,23 +237,26 @@ def _discard_partial_writes(directory: Path) -> None:
 
 def _audit_scales(index_rows, shard_array: np.ndarray,
                   probe_weight: np.ndarray, dtype: str) -> None:
-    """Verify persisted scale factors against the exact projection.
+    """Check persisted scale factors through the fused projection.
 
-    For every record-slot block the fused :func:`quantized_matmul` through
-    ``probe_weight`` (the context attribute-pool projection) must agree
-    with dequantize-then-matmul; a persisted scale that drifted from its
-    rows would show up here before the shard is ever served.
+    The whole shard goes through ``probe_weight`` (the context
+    attribute-pool projection) twice, with every row carrying its
+    record-slot's scale: once fused (:func:`quantized_matmul`) and once
+    dequantize-then-matmul.  The two must agree; a persisted scale that is
+    not a usable factor for its rows (non-finite, say) shows up here
+    before the shard is ever served.
     """
     tolerance = 1e-3 if dtype == "int8" else 1e-2
-    for entry in index_rows:
-        for (offset, length), scale in zip(entry["rows"], entry["scales"]):
-            block = np.asarray(shard_array[offset:offset + length])
-            fused = quantized_matmul(block, float(scale), probe_weight)
-            exact = dequantize(block, float(scale)) @ probe_weight
-            if not np.allclose(fused, exact, atol=tolerance, rtol=tolerance):
-                raise StoreBuildError(
-                    f"scale audit failed for dtype {dtype!r}: fused projection "
-                    f"diverged from the dequantized reference")
+    lengths = [length for entry in index_rows for _, length in entry["rows"]]
+    scales = [scale for entry in index_rows for scale in entry["scales"]]
+    row_scale = np.repeat(np.asarray(scales, dtype=np.float32),
+                          lengths)[:, None]
+    fused = quantized_matmul(shard_array, row_scale, probe_weight)
+    exact = (shard_array.astype(np.float32) * row_scale) @ probe_weight
+    if not np.allclose(fused, exact, atol=tolerance, rtol=tolerance):
+        raise StoreBuildError(
+            f"scale audit failed for dtype {dtype!r}: fused projection "
+            f"diverged from the dequantized reference")
 
 
 # ----------------------------------------------------------------------
@@ -254,42 +291,40 @@ def build_store(directory, matcher, entities: Iterable,
     checksums: Dict[str, int] = {}
     probe = np.ascontiguousarray(network.context.attr_pool.weight.data,
                                  dtype=np.float32)
-    with no_grad():
-        network.eval()
-        for shard_id, start in enumerate(range(0, max(len(keys), 1), shard_size)):
-            shard_keys = keys[start:start + shard_size]
-            blocks: List[np.ndarray] = []
-            attr_rows: List[np.ndarray] = []
-            shard_index: List[dict] = []
-            offset = 0
-            for row, key in enumerate(shard_keys):
-                record = encode_record(network, encoder, unique[key], num_attributes)
-                slot_rows, scales = [], []
-                for k in range(num_attributes):
-                    stored, scale = quantize(record.wpc[k], dtype)
-                    blocks.append(stored)
-                    slot_rows.append([offset, stored.shape[0]])
-                    offset += stored.shape[0]
-                    scales.append(scale)
-                attr_rows.append(record.attrs)
-                entry = {"shard": shard_id, "rows": slot_rows,
-                         "scales": scales, "attrs_row": row}
-                index[key] = entry
-                shard_index.append(entry)
-            if blocks:
-                shard_array = np.concatenate(blocks, axis=0)
-                attrs_array = np.stack(attr_rows).astype(np.float32)
-            else:
-                shard_array = np.zeros((0, network.dim), dtype=np.float32)
-                attrs_array = np.zeros((0, num_attributes, network.dim),
-                                       dtype=np.float32)
-            _audit_scales(shard_index, shard_array, probe, dtype)
-            shard_name = f"shard-{shard_id:04d}.npy"
-            attrs_name = f"attrs-{shard_id:04d}.npy"
-            checksums[shard_name] = _publish_bytes(
-                directory, shard_name, _array_bytes(shard_array))
-            checksums[attrs_name] = _publish_bytes(
-                directory, attrs_name, _array_bytes(attrs_array))
+    for shard_id, start in enumerate(range(0, max(len(keys), 1), shard_size)):
+        shard_keys = keys[start:start + shard_size]
+        records = encode_records(network, encoder,
+                                 [unique[key] for key in shard_keys],
+                                 num_attributes)
+        blocks: List[np.ndarray] = []
+        shard_index: List[dict] = []
+        offset = 0
+        for row, (key, record) in enumerate(zip(shard_keys, records)):
+            slot_rows, scales = [], []
+            for k in range(num_attributes):
+                stored, scale = quantize(record.wpc[k], dtype)
+                blocks.append(stored)
+                slot_rows.append([offset, stored.shape[0]])
+                offset += stored.shape[0]
+                scales.append(scale)
+            entry = {"shard": shard_id, "rows": slot_rows,
+                     "scales": scales, "attrs_row": row}
+            index[key] = entry
+            shard_index.append(entry)
+        if blocks:
+            shard_array = np.concatenate(blocks, axis=0)
+            attrs_array = np.stack([r.attrs for r in records]).astype(np.float32)
+        else:
+            shard_array = np.zeros((0, network.dim), dtype=np.float32)
+            attrs_array = np.zeros((0, num_attributes, network.dim),
+                                   dtype=np.float32)
+        _audit_scales(shard_index, shard_array, probe, dtype)
+        shard_name = f"shard-{shard_id:04d}.npy"
+        attrs_name = f"attrs-{shard_id:04d}.npy"
+        checksums[shard_name] = _publish_bytes(
+            directory, shard_name, _array_bytes(shard_array))
+        checksums[attrs_name] = _publish_bytes(
+            directory, attrs_name, _array_bytes(attrs_array))
 
     manifest = {
         "format": 1,

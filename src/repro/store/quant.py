@@ -19,8 +19,8 @@ Quantization is only applied to the *stored* artifact; the online GAT head
 always computes in float32.  :func:`quantized_matmul` fuses the
 dequantization scale into a dense projection (``(q @ w) · s`` instead of
 ``(q · s) @ w``) so consumers that start with a matmul never materialize
-the dequantized activations; the store's build-time scale audit uses it to
-verify persisted scales against the exact float32 projection.
+the dequantized activations; the store's build-time scale audit compares
+it with dequantize-then-matmul for every shard.
 
 Accuracy is policed, not assumed: the quantized serving mode is gated by a
 ΔF1 ≤ 0.5 parity check on the Table 4 quick subset (see
@@ -75,7 +75,7 @@ def dequantize(stored: np.ndarray, scale: float) -> np.ndarray:
     return out
 
 
-def quantized_matmul(stored: np.ndarray, scale: float,
+def quantized_matmul(stored: np.ndarray, scale,
                      weight: np.ndarray) -> np.ndarray:
     """Dense projection of quantized rows with the scale fused in.
 
@@ -83,11 +83,13 @@ def quantized_matmul(stored: np.ndarray, scale: float,
     · scale``: the integer (or half-precision) rows feed the matmul
     directly and the per-record scale is applied once to the small output,
     so the full-width dequantized activations are never materialized.
+    ``scale`` is one factor, or a ``(rows, 1)`` column giving each row its
+    own (the store's scale audit projects a whole shard at once).
     Mathematically identical to dequantize-then-matmul; float rounding may
     differ in the last bits, which is why the quantized serving mode is
     accuracy-gated rather than parity-gated.
     """
     out = stored.astype(np.float32) @ np.ascontiguousarray(weight, dtype=np.float32)
-    if scale != 1.0:
-        out *= np.float32(scale)
+    if np.any(scale != 1.0):
+        out *= np.asarray(scale, dtype=np.float32)
     return out

@@ -4,15 +4,44 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.config import Scale
+from repro.data import load_dataset
 from repro.data.schema import Entity, EntityPair
+from repro.ml import features as features_mod
 from repro.ml import (
     DecisionTree, FEATURE_NAMES, LinearRegressionClassifier, LinearSVM,
     LogisticRegression, RandomForest, pair_features, similarity_features,
 )
 from repro.ml.features import (
-    cosine_tokens, jaccard, levenshtein, levenshtein_similarity,
-    numeric_similarity, overlap_coefficient, qgrams,
+    cosine_tokens, featurize_pairs, jaccard, levenshtein,
+    levenshtein_similarity, numeric_similarity, overlap_coefficient, qgrams,
 )
+
+
+def dp_levenshtein(a: str, b: str) -> int:
+    """Oracle: edit distance by the classic two-row dynamic program."""
+    if a == b:
+        return 0
+    if not a:
+        return len(b)
+    if not b:
+        return len(a)
+    previous = list(range(len(b) + 1))
+    for i, ca in enumerate(a, start=1):
+        current = [i]
+        for j, cb in enumerate(b, start=1):
+            current.append(min(
+                previous[j] + 1,          # deletion
+                current[j - 1] + 1,       # insertion
+                previous[j - 1] + (ca != cb),  # substitution
+            ))
+        previous = current
+    return previous[-1]
+
+
+#: Few symbols, so random strings share characters and the distance is
+#: not just the longer length; non-ASCII ones included.
+_EDIT_ALPHABET = "abcd é日ß"
 
 
 class TestStringSimilarities:
@@ -29,6 +58,28 @@ class TestStringSimilarities:
     def test_levenshtein_triangle_bounds(self, a, b):
         d = levenshtein(a, b)
         assert abs(len(a) - len(b)) <= d <= max(len(a), len(b))
+
+    @given(st.text(alphabet=_EDIT_ALPHABET, max_size=150),
+           st.text(alphabet=_EDIT_ALPHABET, max_size=150))
+    @settings(max_examples=300, deadline=None)
+    def test_levenshtein_matches_dynamic_program(self, a, b):
+        expected = dp_levenshtein(a, b)
+        assert levenshtein(a, b) == expected
+        assert levenshtein(b, a) == expected
+
+    @given(st.text(max_size=90), st.text(max_size=90))
+    @settings(max_examples=100, deadline=None)
+    def test_levenshtein_matches_dynamic_program_any_text(self, a, b):
+        assert levenshtein(a, b) == dp_levenshtein(a, b)
+
+    @pytest.mark.parametrize("a,b", [
+        ("", ""), ("", "日本"), ("x" * 64, ""), ("a" * 64, "a" * 65),
+        ("ab" * 40, "ba" * 40), ("é" * 70 + "z", "z" + "é" * 70),
+        ("q" * 200, "r" * 130),
+    ])
+    def test_levenshtein_edge_cases(self, a, b):
+        assert levenshtein(a, b) == dp_levenshtein(a, b)
+        assert levenshtein(b, a) == dp_levenshtein(b, a)
 
     def test_levenshtein_similarity_range(self):
         assert levenshtein_similarity("abc", "abc") == 1.0
@@ -76,6 +127,17 @@ class TestPairFeatures:
         features = similarity_features("nan", "anything")
         assert features[FEATURE_NAMES.index("missing")] == 1.0
         assert sum(features) == 1.0
+
+
+def test_featurize_pairs_bitwise_unchanged_on_dblp_acm(monkeypatch):
+    """The bit-vector edit distance leaves the Magellan feature matrix of
+    DBLP-ACM pairs bitwise what the dynamic program gives."""
+    pairs = load_dataset("DBLP-ACM", scale=Scale.ci()).pairs
+    features = featurize_pairs(pairs)
+    monkeypatch.setattr(features_mod, "levenshtein", dp_levenshtein)
+    reference = featurize_pairs(pairs)
+    assert features.shape == reference.shape
+    assert np.array_equal(features, reference)
 
 
 def _separable_data(n=120, seed=0):

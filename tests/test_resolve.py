@@ -46,7 +46,7 @@ import pytest
 from repro.blocking.ann import MinHashLSHBlocker
 from repro.data.generators import generate_source_tables
 from repro.data.magellan import MAGELLAN_DATASETS
-from repro.data.schema import Entity
+from repro.data.schema import Entity, EntityPair
 from repro.guard import DataFirewall, QuarantineStore, RetractionEvent
 from repro.reliability import (
     COUNTERS,
@@ -75,8 +75,10 @@ from repro.resolve import (
     partitions_equal,
     truth_partition,
 )
+from repro.resolve import stream as stream_module
 from repro.resolve import wal as wal_module
 from repro.resolve.stream import ServiceScorer
+from repro.text.tokenizer import tokenize
 
 FAST_RETRY = RetryPolicy(retries=3, base_delay=0.0, max_delay=0.0)
 
@@ -108,6 +110,59 @@ def _match(u: str, v: str, score: float = 0.9) -> ScoredEdge:
 
 def _nonmatch(u: str, v: str, score: float = 0.01) -> ScoredEdge:
     return ScoredEdge(u=u, v=v, score=score, kind="nonmatch")
+
+
+# ======================================================================
+# JaccardScorer
+# ======================================================================
+def _overlapping_records(count: int) -> List[Entity]:
+    words = [f"w{i}" for i in range(9)]
+    return [_entity(f"r{i}", " ".join(words[i % 6:i % 6 + 3 + i % 4]))
+            for i in range(count)]
+
+
+def _jaccard_reference(pairs) -> np.ndarray:
+    """Token Jaccard of each pair, every record tokenized afresh."""
+    out = np.zeros(len(pairs), dtype=np.float64)
+    for i, pair in enumerate(pairs):
+        left = set(tokenize(pair.left.text()))
+        right = set(tokenize(pair.right.text()))
+        union = len(left | right)
+        out[i] = len(left & right) / union if union else 0.0
+    return out
+
+
+class TestJaccardScorer:
+    def _calls(self, records, scorer, monkeypatch, chunk=5):
+        """Score every earlier/later pair of ``records`` in ``chunk``-pair
+        calls, as a resolver's groups would; return (scores, tokenize
+        calls)."""
+        pairs = [EntityPair(b, a, 0) for i, a in enumerate(records)
+                 for b in records[i + 1:]]
+        expected = _jaccard_reference(pairs)
+        calls = []
+
+        def counting(text):
+            calls.append(text)
+            return tokenize(text)
+
+        monkeypatch.setattr(stream_module, "tokenize", counting)
+        got = np.concatenate([scorer.scores(pairs[i:i + chunk])
+                              for i in range(0, len(pairs), chunk)])
+        assert np.array_equal(got, expected)
+        return len(calls)
+
+    def test_each_record_tokenized_once_scores_bitwise(self, monkeypatch):
+        records = _overlapping_records(12)
+        scorer = JaccardScorer()
+        assert self._calls(records, scorer, monkeypatch) == len(records)
+
+    def test_token_memo_is_bounded(self, monkeypatch):
+        monkeypatch.setattr(stream_module, "JACCARD_TOKEN_MEMO", 4)
+        records = _overlapping_records(12)
+        scorer = JaccardScorer()
+        assert self._calls(records, scorer, monkeypatch) > len(records)
+        assert len(scorer._tokens) == 4
 
 
 # ======================================================================
@@ -1404,6 +1459,7 @@ class _FlakyScorer(JaccardScorer):
     ``during``), then scores like :class:`JaccardScorer`."""
 
     def __init__(self, fail_on: int = 1, during=None):
+        super().__init__()
         self.calls = 0
         self.fail_on = fail_on
         self.during = during

@@ -5,6 +5,10 @@ Covers the offline store end to end at CI scale:
 * quantization round-trips and the fused :func:`quantized_matmul`;
 * build → read parity — float32 store mode must be **bitwise identical**
   to the live encoder path, quantized modes must stay within the ΔF1 gate;
+* the batched encoder — width-grouped, chunked ``encode_records`` is
+  bitwise the per-record encode, and no call stacks more than K × chunk
+  rows;
+* the build's scale audit — a bad persisted int8 scale fails the build;
 * the registered fault sites ``store.read`` (corrupt shard → checksum
   quarantine → counted live fallback) and ``store.build`` (kill between
   write and rename → partial file discarded, manifest never published,
@@ -23,17 +27,20 @@ Covers the offline store end to end at CI scale:
 
 from __future__ import annotations
 
+import collections
 import dataclasses
 
 import numpy as np
 import pytest
 
+from repro.autograd import no_grad
 from repro.config import Scale, set_scale
 from repro.core import HierGAT
 from repro.data import load_dataset
 from repro.data.magellan import DIRTY_DATASETS
 from repro.data.schema import EntityPair
 from repro.harness.pairwise import QUICK_DATASETS
+from repro.matchers.encoding import pad_sequences
 from repro.perf.cache import bump_params_version, instance_token, params_version
 from repro.perf.profiler import wall_clock
 from repro.reliability.counters import COUNTERS
@@ -46,16 +53,18 @@ from repro.reliability.faults import (
 from repro.store import (
     EmbeddingStore,
     StoreBackedScorer,
+    StoreBuildError,
     build_store,
     dequantize,
     encode_record,
+    encode_records,
     parity_report,
     quantize,
     stable_record_key,
     store_cache,
     weights_digest,
 )
-from repro.store import scorer as scorer_mod
+from repro.store import embedstore, scorer as scorer_mod
 from repro.store.quant import quantized_matmul
 
 
@@ -114,6 +123,12 @@ class TestQuantization:
         stored, scale = quantize(x, "int8")
         fused = quantized_matmul(stored, scale, w)
         exact = dequantize(stored, scale) @ w
+        assert np.allclose(fused, exact, atol=1e-4, rtol=1e-4)
+        # A (rows, 1) column gives each row its own scale.
+        rows = np.array([[scale], [2 * scale], [1.0], [scale], [3.0], [0.5]],
+                        dtype=np.float32)
+        fused = quantized_matmul(stored, rows, w)
+        exact = (stored.astype(np.float32) * rows) @ w
         assert np.allclose(fused, exact, atol=1e-4, rtol=1e-4)
 
     def test_unknown_dtype_rejected(self, rng):
@@ -257,6 +272,89 @@ class TestBuildAndParity:
 
 
 # ======================================================================
+# Batched encoding: width groups, bounded chunks, per-record parity
+# ======================================================================
+def _all_entities(dataset):
+    return [entity for pair in dataset.pairs
+            for entity in (pair.left, pair.right)]
+
+
+def _width(encoder, entity, k_slots):
+    return max(len(encoder.attribute_ids(entity, k)) for k in range(k_slots))
+
+
+def _reference_record(network, encoder, entity, k_slots):
+    """The per-record encode: one record's K slots, padded to its own
+    width, alone in one encoder and one summarizer call."""
+    sequences = [encoder.attribute_ids(entity, k) for k in range(k_slots)]
+    ids, mask = pad_sequences(sequences, encoder.vocab.pad_id)
+    with no_grad():
+        network.eval()
+        wpc = network.encode_record_slot(ids, mask)
+        attrs = network.summarizer(wpc, mask)
+    return ([wpc.data[k, :len(seq)] for k, seq in enumerate(sequences)],
+            attrs.data)
+
+
+class TestBatchedEncode:
+    """``encode_records`` stacks records of one padded width, at most
+    ``ENCODE_CHUNK`` at a time.  Parity with the per-record encode rests on
+    each record keeping its own width and on batch rows being independent;
+    both are pinned here, bitwise."""
+
+    @pytest.mark.parametrize("chunk", [1, 3, embedstore.ENCODE_CHUNK])
+    def test_bitwise_equal_to_per_record_reference(self, fitted, dataset,
+                                                   monkeypatch, chunk):
+        network, encoder = fitted._network, fitted._encoder
+        k_slots = fitted._num_attributes
+        entities = _all_entities(dataset)
+        groups = collections.Counter(
+            _width(encoder, entity, k_slots) for entity in entities)
+        # Mixed widths, and (at chunk 3) a width with several full chunks
+        # and one with a partial chunk.
+        assert len(groups) > 1
+        assert any(count > 2 * 3 for count in groups.values())
+        assert any(count % 3 for count in groups.values())
+        monkeypatch.setattr(embedstore, "ENCODE_CHUNK", chunk)
+        records = encode_records(network, encoder, entities, k_slots)
+        assert len(records) == len(entities)
+        for entity, record in zip(entities, records):
+            wpc, attrs = _reference_record(network, encoder, entity, k_slots)
+            assert len(record.wpc) == k_slots
+            for got, want in zip(record.wpc, wpc):
+                assert got.dtype == np.float32
+                assert np.array_equal(got, want)
+            assert np.array_equal(record.attrs, attrs)
+
+    def test_no_call_stacks_more_than_a_chunk(self, fitted, dataset,
+                                              monkeypatch):
+        network, encoder = fitted._network, fitted._encoder
+        k_slots = fitted._num_attributes
+        chunk = embedstore.ENCODE_CHUNK
+        entities = _all_entities(dataset)
+        entities = entities * (3 * chunk // len(entities) + 1)
+        groups = collections.Counter(
+            _width(encoder, entity, k_slots) for entity in entities)
+        assert max(groups.values()) > chunk
+        rows = []
+        encode = network.encode_record_slot
+
+        def counting(ids, mask):
+            rows.append(ids.shape[0])
+            return encode(ids, mask)
+
+        monkeypatch.setattr(network, "encode_record_slot", counting)
+        encode_records(network, encoder, entities, k_slots)
+        assert max(rows) == k_slots * chunk
+        assert all(n % k_slots == 0 for n in rows)
+        assert len(rows) == sum(-(-count // chunk) for count in groups.values())
+
+    def test_empty_input_encodes_nothing(self, fitted):
+        assert encode_records(fitted._network, fitted._encoder, [],
+                              fitted._num_attributes) == []
+
+
+# ======================================================================
 # Quantized modes: the ΔF1 gate
 # ======================================================================
 class TestQuantizedStore:
@@ -281,6 +379,26 @@ class TestQuantizedStore:
         for entry in store.manifest["index"].values():
             assert len(entry["scales"]) == fitted._num_attributes
             assert all(s > 0.0 for s in entry["scales"])
+
+    def test_scale_audit_fails_the_build_on_a_bad_scale(self, tmp_path,
+                                                        fitted, dataset,
+                                                        monkeypatch):
+        """One record-slot's persisted int8 scale is perturbed to NaN: the
+        audit's fused and dequantized projections disagree, the build
+        raises, and no manifest is published."""
+        calls = []
+
+        def perturbed(arr, dtype):
+            stored, scale = quantize(arr, dtype)
+            calls.append(scale)
+            return stored, (float("nan") if len(calls) == 5 else scale)
+
+        monkeypatch.setattr(embedstore, "quantize", perturbed)
+        with pytest.raises(StoreBuildError, match="scale audit failed"):
+            build_store(tmp_path / "q", fitted, _test_entities(dataset),
+                        dtype="int8")
+        with pytest.raises(FileNotFoundError):
+            EmbeddingStore.open(tmp_path / "q")
 
 
 # ======================================================================
