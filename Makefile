@@ -53,9 +53,10 @@ coverage:
 # Full pre-merge gate: the unit suite, the benchmark's self-tests (its
 # percentile, gate and tracer arithmetic), coverage floors on the analysis
 # package (the lint rules + sanitizers must themselves stay well-tested),
-# the resolve package (the crash-safety layer likewise) and the blocking
-# package (the candidate generator every resolver and service query uses),
-# plus a profiled end-to-end smoke run.
+# the resolve package (the crash-safety layer likewise), the blocking
+# package (the candidate generator every resolver and service query uses)
+# and the autograd package (both of Adam's update paths, dense and
+# touched-row, stay exercised), plus a profiled end-to-end smoke run.
 check:
 	$(PYTHON) -m pytest tests/ -q
 	$(PYTHON) -m pytest perfbench -q
@@ -67,6 +68,10 @@ check:
 	PYTHONPATH=src $(PYTHON) tools/cov.py --package blocking --min 90 \
 		tests/test_blocking_ann.py tests/test_blocking_contract.py \
 		tests/test_blocking.py -q -m "not slow"
+	PYTHONPATH=src $(PYTHON) tools/cov.py --package autograd --min 90 \
+		tests/test_autograd_edge_cases.py tests/test_autograd_functional.py \
+		tests/test_autograd_tensor.py tests/test_property_autograd.py \
+		tests/test_optim.py -q -m "not slow"
 	$(PYTHON) -m repro profile --dataset Beer --fast --top 5
 
 bench:

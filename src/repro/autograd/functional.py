@@ -123,12 +123,14 @@ def embedding(weight: Tensor, indices: np.ndarray) -> Tensor:
 
 def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:
     """Layer normalisation over the last axis."""
-    mu = x.data.mean(axis=-1, keepdims=True)
-    var = x.data.var(axis=-1, keepdims=True)
+    # The centred values are computed once and squared for the variance:
+    # bitwise what ``x.var`` computes, since numpy's var subtracts the same
+    # mean and averages the squares the same way.
+    centred = x.data - x.data.mean(axis=-1, keepdims=True)
+    var = (centred * centred).mean(axis=-1, keepdims=True)
     inv = 1.0 / np.sqrt(var + eps)
-    x_hat = (x.data - mu) * inv
+    x_hat = centred * inv
     data = gamma.data * x_hat + beta.data
-    n = x.data.shape[-1]
 
     def backward(grad: np.ndarray) -> None:
         gamma._accumulate(
@@ -143,7 +145,6 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
         ) * inv
         x._accumulate(dx)
 
-    _ = n  # documented for clarity; mean() already divides by n
     return Tensor._make(data, (x, gamma, beta), backward, "layer_norm")
 
 

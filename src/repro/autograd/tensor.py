@@ -77,6 +77,17 @@ def unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
     return grad.reshape(shape)
 
 
+def _is_basic_index(index) -> bool:
+    """True for numpy basic indexing (ints, slices, ``None``, ``...``),
+    which never selects one position twice; arrays, lists and booleans are
+    advanced indexing."""
+    items = index if isinstance(index, tuple) else (index,)
+    return all(
+        item is None or item is Ellipsis or isinstance(item, slice)
+        or (isinstance(item, (int, np.integer)) and not isinstance(item, bool))
+        for item in items)
+
+
 ArrayLike = Union["Tensor", np.ndarray, float, int, list, tuple]
 
 
@@ -396,10 +407,17 @@ class Tensor:
     def __getitem__(self, index) -> "Tensor":
         data = self.data[index]
         original_shape = self.shape
+        basic = _is_basic_index(index)
 
         def backward(grad: np.ndarray) -> None:
             full = np.zeros(original_shape, dtype=self.data.dtype)
-            np.add.at(full, index, grad)
+            if basic:
+                # A basic index reaches each position at most once, so a
+                # plain add is what ``np.add.at`` computes, without its
+                # per-element dispatch.
+                full[index] += grad
+            else:
+                np.add.at(full, index, grad)
             self._accumulate(full)
 
         return Tensor._make(data, (self,), backward, "getitem")

@@ -287,12 +287,13 @@ class HierGAT(_HierGATMatcher):
             use_alignment=False,
         ), scale, seed)
 
-    def _forward(self, pairs: Sequence[EntityPair]) -> Tensor:
+    def _forward(self, pairs: Sequence[EntityPair],
+                 memo: Optional[dict] = None) -> Tensor:
         slots = []
         for k in range(self._num_attributes):
             slots.append((
-                self._encoder.encode_slot(pairs, k, "left"),
-                self._encoder.encode_slot(pairs, k, "right"),
+                self._encoder.encode_slot(pairs, k, "left", memo),
+                self._encoder.encode_slot(pairs, k, "right", memo),
             ))
         return self._network(slots)
 
@@ -309,8 +310,12 @@ class HierGAT(_HierGATMatcher):
             self.scale, seed=self.seed,
             positive_weight=imbalance_weight(dataset.split.train),
         )
+        # Every epoch and validation pass encodes the same pairs: tokenise
+        # each attribute once per fit.  The memo dies with the fit, so the
+        # encoder that serving shares afterwards never grows it.
+        memo: dict = {}
         self.train_result = train_pair_classifier(
-            self._network, self._forward,
+            self._network, lambda pairs: self._forward(pairs, memo),
             dataset.split.train, dataset.split.valid, config,
             checkpoint_dir=checkpoint_dir, resume=resume,
         )
@@ -397,7 +402,7 @@ class HierGATPlus(_HierGATMatcher):
                 loss = F.cross_entropy(logits, labels, weight=weight)
                 optimizer.zero_grad()
                 loss.backward()
-                clip_grad_norm(self._network.parameters(), config.grad_clip)
+                clip_grad_norm(optimizer.params, config.grad_clip)
                 optimizer.step()
                 epoch_losses.append(loss.item())
             losses.append(float(np.mean(epoch_losses)) if epoch_losses else 0.0)

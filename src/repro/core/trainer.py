@@ -188,7 +188,7 @@ def train_pair_classifier(
             fault_point("trainer.step", epoch=epoch, step=step)  # may raise kill
             optimizer.zero_grad()
             loss.backward()
-            clip_grad_norm(model.parameters(), config.grad_clip)
+            clip_grad_norm(optimizer.params, config.grad_clip)
             optimizer.step()
             epoch_losses.append(loss_value)
         return epoch_losses

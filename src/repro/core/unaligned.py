@@ -104,11 +104,12 @@ class UnalignedHierGAT(HierGAT):
         super()._build(num_attributes)
         self._aligner = SoftAttributeAligner(self._network.dim)
 
-    def _forward(self, pairs: Sequence[EntityPair]) -> Tensor:
+    def _forward(self, pairs: Sequence[EntityPair],
+                 memo: Optional[dict] = None) -> Tensor:
         network: HierGATNetwork = self._network
         slots = [(
-            self._encoder.encode_slot(pairs, k, "left"),
-            self._encoder.encode_slot(pairs, k, "right"),
+            self._encoder.encode_slot(pairs, k, "left", memo),
+            self._encoder.encode_slot(pairs, k, "right", memo),
         ) for k in range(self._num_attributes)]
 
         left_wpcs, right_wpcs, left_masks, right_masks = [], [], [], []

@@ -186,7 +186,7 @@ def _pretrain(name: str, scale: Scale, steps: int) -> CheckpointStates:
         loss = F.cross_entropy(logits, np.array([p.label for p in batch]))
         optimizer.zero_grad()
         loss.backward()
-        clip_grad_norm(network.parameters(), 5.0)
+        clip_grad_norm(optimizer.params, 5.0)
         optimizer.step()
     network.eval()
     return lm.state_dict(), network.head.state_dict(), vocab

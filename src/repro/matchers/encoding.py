@@ -92,12 +92,25 @@ class AttributeEncoder:
             ids += [self.vocab.col_id, *self.vocab.encode(tokenize(key)), self.vocab.val_id]
         return ids + self.vocab.encode(tokens)
 
-    def encode_slot(self, pairs: Sequence[EntityPair], slot: int,
-                    side: str) -> Tuple[np.ndarray, np.ndarray]:
+    def encode_slot(self, pairs: Sequence[EntityPair], slot: int, side: str,
+                    memo: Optional[dict] = None) -> Tuple[np.ndarray, np.ndarray]:
+        """Padded ids of one attribute slot of one side of ``pairs``.
+
+        ``memo``, when given, maps an attribute's ``(key, value)`` to its ids
+        and is filled as it goes, so a caller that encodes the same records
+        many times (a fit's epochs) tokenises each attribute once.
+        """
         sequences = []
         for pair in pairs:
             entity = pair.left if side == "left" else pair.right
-            sequences.append(self.attribute_ids(entity, slot))
+            if memo is None:
+                sequences.append(self.attribute_ids(entity, slot))
+                continue
+            attribute = entity.attributes[slot]
+            ids = memo.get(attribute)
+            if ids is None:
+                ids = memo[attribute] = self.attribute_ids(entity, slot)
+            sequences.append(ids)
         return pad_sequences(sequences, self.vocab.pad_id)
 
     @staticmethod

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List
+from typing import Dict, List
 
 import numpy as np
 
@@ -60,16 +60,28 @@ class Module:
                 out.append(p)
         return out
 
-    def named_parameters(self, prefix: str = "") -> Iterator[tuple]:
-        for name, p in self._parameters.items():
-            yield (prefix + name, p)
-        for name, m in self._modules.items():
-            yield from m.named_parameters(prefix=f"{prefix}{name}.")
+    def named_parameters(self, prefix: str = "") -> List[tuple]:
+        """``(dotted name, parameter)`` in preorder: a module's own
+        parameters, then each sub-module's, in registration order."""
+        out: List[tuple] = []
+        stack = [(prefix, self)]
+        while stack:
+            prefix, module = stack.pop()
+            for name, p in module._parameters.items():
+                out.append((prefix + name, p))
+            for name, m in reversed(module._modules.items()):
+                stack.append((f"{prefix}{name}.", m))
+        return out
 
-    def modules(self) -> Iterator["Module"]:
-        yield self
-        for m in self._modules.values():
-            yield from m.modules()
+    def modules(self) -> List["Module"]:
+        """This module and every sub-module, in preorder."""
+        out: List[Module] = []
+        stack: List[Module] = [self]
+        while stack:
+            module = stack.pop()
+            out.append(module)
+            stack.extend(reversed(module._modules.values()))
+        return out
 
     def num_parameters(self) -> int:
         return sum(p.size for p in self.parameters())

@@ -235,25 +235,38 @@ def _discard_partial_writes(directory: Path) -> None:
         COUNTERS.increment("store_build_discards")
 
 
-def _audit_scales(index_rows, shard_array: np.ndarray,
+def _audit_scales(index_rows, shard_array: np.ndarray, source: np.ndarray,
                   probe_weight: np.ndarray, dtype: str) -> None:
-    """Check persisted scale factors through the fused projection.
+    """Check persisted scale factors before the shard is ever served.
 
-    The whole shard goes through ``probe_weight`` (the context
-    attribute-pool projection) twice, with every row carrying its
-    record-slot's scale: once fused (:func:`quantized_matmul`) and once
-    dequantize-then-matmul.  The two must agree; a persisted scale that is
-    not a usable factor for its rows (non-finite, say) shows up here
-    before the shard is ever served.
+    Two checks, each with every row carrying its record-slot's scale:
+
+    * the dequantized rows must match ``source``, the float32 rows before
+      quantization, to within one quantization step (the row's scale for
+      int8, one unit of relative precision for the float dtypes).  This
+      catches a finite scale that has drifted from its rows;
+    * the whole shard goes through ``probe_weight`` (the context
+      attribute-pool projection) fused (:func:`quantized_matmul`) and
+      dequantize-then-matmul, and the two must agree.
     """
     tolerance = 1e-3 if dtype == "int8" else 1e-2
     lengths = [length for entry in index_rows for _, length in entry["rows"]]
     scales = [scale for entry in index_rows for scale in entry["scales"]]
     row_scale = np.repeat(np.asarray(scales, dtype=np.float32),
                           lengths)[:, None]
+    dequantized = shard_array.astype(np.float32) * row_scale
+    if dtype == "int8":
+        step = row_scale
+    else:
+        info = np.finfo(dtype)
+        step = np.abs(source) * info.eps + info.smallest_subnormal
+    if not np.all(np.abs(dequantized - source) <= step):
+        raise StoreBuildError(
+            f"scale audit failed for dtype {dtype!r}: dequantized rows are "
+            f"more than one quantization step from the rows they store")
     fused = quantized_matmul(shard_array, row_scale, probe_weight)
-    exact = (shard_array.astype(np.float32) * row_scale) @ probe_weight
-    if not np.allclose(fused, exact, atol=tolerance, rtol=tolerance):
+    if not np.allclose(fused, dequantized @ probe_weight,
+                       atol=tolerance, rtol=tolerance):
         raise StoreBuildError(
             f"scale audit failed for dtype {dtype!r}: fused projection "
             f"diverged from the dequantized reference")
@@ -297,6 +310,7 @@ def build_store(directory, matcher, entities: Iterable,
                                  [unique[key] for key in shard_keys],
                                  num_attributes)
         blocks: List[np.ndarray] = []
+        sources: List[np.ndarray] = []
         shard_index: List[dict] = []
         offset = 0
         for row, (key, record) in enumerate(zip(shard_keys, records)):
@@ -304,6 +318,7 @@ def build_store(directory, matcher, entities: Iterable,
             for k in range(num_attributes):
                 stored, scale = quantize(record.wpc[k], dtype)
                 blocks.append(stored)
+                sources.append(record.wpc[k])
                 slot_rows.append([offset, stored.shape[0]])
                 offset += stored.shape[0]
                 scales.append(scale)
@@ -313,12 +328,13 @@ def build_store(directory, matcher, entities: Iterable,
             shard_index.append(entry)
         if blocks:
             shard_array = np.concatenate(blocks, axis=0)
+            source = np.concatenate(sources, axis=0).astype(np.float32, copy=False)
             attrs_array = np.stack([r.attrs for r in records]).astype(np.float32)
         else:
-            shard_array = np.zeros((0, network.dim), dtype=np.float32)
+            shard_array = source = np.zeros((0, network.dim), dtype=np.float32)
             attrs_array = np.zeros((0, num_attributes, network.dim),
                                    dtype=np.float32)
-        _audit_scales(shard_index, shard_array, probe, dtype)
+        _audit_scales(shard_index, shard_array, source, probe, dtype)
         shard_name = f"shard-{shard_id:04d}.npy"
         attrs_name = f"attrs-{shard_id:04d}.npy"
         checksums[shard_name] = _publish_bytes(

@@ -107,6 +107,28 @@ class TestEmbeddingLayerNorm:
         np.testing.assert_allclose(out.data.mean(axis=-1), 0.0, atol=1e-6)
         np.testing.assert_allclose(out.data.std(axis=-1), 1.0, atol=1e-3)
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_layer_norm_bitwise_equals_mean_var_form(self, rng, dtype):
+        """Centring once and averaging its squares is bitwise the
+        ``x.mean`` / ``x.var`` expression it replaced, forward and
+        backward."""
+        def reference(x, gamma, beta, eps=1e-5):
+            mu = x.mean(axis=-1, keepdims=True)
+            var = x.var(axis=-1, keepdims=True)
+            x_hat = (x - mu) * (1.0 / np.sqrt(var + eps))
+            return gamma * x_hat + beta
+
+        for trial in range(300):
+            width = int(rng.integers(1, 40))
+            shape = tuple(int(n) for n in rng.integers(1, 5, size=trial % 3)) + (width,)
+            x = (rng.standard_normal(shape) * rng.uniform(0.01, 100)
+                 + rng.uniform(-50, 50)).astype(dtype)
+            gamma = rng.standard_normal(width).astype(dtype)
+            beta = rng.standard_normal(width).astype(dtype)
+            out = F.layer_norm(Tensor(x), Tensor(gamma), Tensor(beta))
+            assert out.data.dtype == dtype
+            assert out.data.tobytes() == reference(x, gamma, beta).tobytes()
+
     def test_layer_norm_gradcheck(self, rng):
         x = t(rng.standard_normal((3, 5)))
         g, b = t(rng.standard_normal(5)), t(rng.standard_normal(5))

@@ -154,6 +154,26 @@ class TestShapeOps:
         out.sum().backward()
         np.testing.assert_array_equal(x.grad, [2.0, 0.0, 1.0])
 
+    @pytest.mark.parametrize("index", [
+        2, np.int64(1), slice(1, 3), (slice(None), 0), (Ellipsis, slice(0, 4, 2)),
+        (None, 1, slice(None, None, -1)), (-1, -2),
+        np.array([0, 0, 2]), [1, 1], (np.array([0, 2]), slice(1, 3)),
+        np.array([True, False, True]), True,
+    ])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_getitem_backward_bitwise_equals_add_at(self, rng, index, dtype):
+        """The basic-index backward (a plain add) is bitwise what
+        ``np.add.at`` gives; advanced indices still use ``np.add.at``."""
+        x = Tensor(rng.standard_normal((3, 4)).astype(dtype), requires_grad=True)
+        out = x[index]
+        grad = rng.standard_normal(out.shape).astype(dtype)
+        grad.flat[0] = -0.0
+        out.backward(grad)
+        expected = np.zeros((3, 4), dtype=dtype)
+        np.add.at(expected, index, grad)
+        assert x.grad.dtype == dtype
+        assert x.grad.tobytes() == expected.tobytes()
+
     def test_concat_gradcheck(self, rng):
         a = t(rng.standard_normal((2, 3)))
         b = t(rng.standard_normal((2, 2)))

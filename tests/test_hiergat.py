@@ -62,6 +62,30 @@ class TestHierGATPairwise:
             total = sum(w for _, w in report.attribute_weights)
             assert total == pytest.approx(1.0, abs=1e-3)
 
+    def test_fit_tokenises_each_attribute_once(self, dataset, monkeypatch):
+        """A fit tokenises each distinct attribute once across all epochs
+        and validation passes, and leaves no memo on the encoder that
+        serving shares afterwards."""
+        from repro.matchers.encoding import AttributeEncoder
+
+        calls = []
+        original = AttributeEncoder.attribute_ids
+
+        def counting(encoder, entity, slot):
+            calls.append(entity.attributes[slot])
+            return original(encoder, entity, slot)
+
+        monkeypatch.setattr(AttributeEncoder, "attribute_ids", counting)
+        matcher = HierGAT().fit(dataset)
+        assert Scale.ci().epochs > 1
+        assert calls and len(calls) == len(set(calls))
+        assert vars(matcher._encoder).keys() == {
+            "vocab", "max_value_tokens", "include_key"}
+        calls.clear()
+        matcher.scores(dataset.split.valid[:3])
+        matcher.scores(dataset.split.valid[:3])
+        assert len(calls) == 2 * 2 * 3 * matcher._num_attributes
+
     def test_unfitted_raises(self, dataset):
         with pytest.raises(RuntimeError):
             HierGAT().scores(dataset.split.test)

@@ -62,6 +62,20 @@ class TestEncoding:
         assert ids[1] == vocab.col_id
         assert vocab.val_id in ids
 
+    def test_encode_slot_memo_gives_the_same_ids(self, dataset):
+        vocab, _ = build_vocabulary(dataset)
+        encoder = AttributeEncoder(vocab)
+        memo: dict = {}
+        pairs = dataset.pairs[:12]
+        for k in range(dataset.num_attributes):
+            for side in ("left", "right"):
+                plain = encoder.encode_slot(pairs, k, side)
+                for _ in range(2):
+                    memoised = encoder.encode_slot(pairs, k, side, memo)
+                    np.testing.assert_array_equal(plain[0], memoised[0])
+                    np.testing.assert_array_equal(plain[1], memoised[1])
+        assert 0 < len(memo) <= 2 * len(pairs) * dataset.num_attributes
+
     def test_num_slots_is_minimum(self, dataset):
         assert AttributeEncoder.num_slots(dataset.pairs) == dataset.num_attributes
 

@@ -18,6 +18,39 @@ class TestModuleSystem:
         assert "fc1.weight" in names and "fc2.bias" in names
         assert len(mlp.parameters()) == 4
 
+    def test_traversal_is_the_recursive_preorder(self, rng):
+        """``modules()`` and ``named_parameters()`` walk the tree in the
+        preorder of the recursive definition, shared sub-modules included
+        once per path."""
+        def named(module, prefix=""):
+            for name, p in module._parameters.items():
+                yield prefix + name, p
+            for name, child in module._modules.items():
+                yield from named(child, f"{prefix}{name}.")
+
+        def preorder(module):
+            yield module
+            for child in module._modules.values():
+                yield from preorder(child)
+
+        shared = Linear(3, 3, rng=rng)
+
+        class Tree(Module):
+            def __init__(self):
+                super().__init__()
+                self.scale = Parameter(np.ones(3))
+                self.encoder = TransformerEncoder(4, 2, 2, ff_dim=8, rng=rng)
+                self.left = Sequential(shared, MLP(3, 5, 3, rng=rng))
+                self.right = shared
+                self.bias = Parameter(np.zeros(3))
+
+        tree = Tree()
+        assert [(n, id(p)) for n, p in tree.named_parameters("top.")] \
+            == [(n, id(p)) for n, p in named(tree, "top.")]
+        assert [id(m) for m in tree.modules()] == [id(m) for m in preorder(tree)]
+        assert tree.named_parameters()[0][0] == "scale"
+        assert len(tree.parameters()) < len(tree.named_parameters())
+
     def test_module_list_registration(self, rng):
         class Stack(Module):
             def __init__(self):

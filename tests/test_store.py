@@ -400,6 +400,22 @@ class TestQuantizedStore:
         with pytest.raises(FileNotFoundError):
             EmbeddingStore.open(tmp_path / "q")
 
+    def test_scale_audit_fails_the_build_on_a_drifted_finite_scale(
+            self, tmp_path, fitted, dataset, monkeypatch):
+        """Every persisted int8 scale doubled: still finite, and the fused
+        and dequantized projections agree, but the dequantized rows are
+        twice the rows they store, so the build raises."""
+        def doubled(arr, dtype):
+            stored, scale = quantize(arr, dtype)
+            return stored, 2.0 * scale
+
+        monkeypatch.setattr(embedstore, "quantize", doubled)
+        with pytest.raises(StoreBuildError, match="quantization step"):
+            build_store(tmp_path / "q", fitted, _test_entities(dataset),
+                        dtype="int8")
+        with pytest.raises(FileNotFoundError):
+            EmbeddingStore.open(tmp_path / "q")
+
 
 # ======================================================================
 # Fault sites (R004): store.read and store.build
